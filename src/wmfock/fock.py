@@ -86,13 +86,18 @@ def _compositions(total: int, parts: int) -> Iterator[MultiIndex]:
             yield rest + (top,)
 
 
+def indices_up_to(n: int, cap: int) -> List[MultiIndex]:
+    """All count vectors over ``n`` letters of degree ``<= cap``, graded."""
+    out: List[MultiIndex] = []
+    for d in range(cap + 1):
+        out.extend(_compositions(d, n))
+    return out
+
+
 @lru_cache(maxsize=None)
 def enumerate_basis(params: TruncationParams) -> Tuple[MultiIndex, ...]:
     """All count vectors of degree ``<= max_degree`` in graded order."""
-    out: List[MultiIndex] = []
-    for d in range(params.max_degree + 1):
-        out.extend(_compositions(d, params.n))
-    return tuple(out)
+    return tuple(indices_up_to(params.n, params.max_degree))
 
 
 @lru_cache(maxsize=None)

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .fock import MultiIndex, TruncationParams, _compositions, enumerate_basis
+from .fock import (MultiIndex, TruncationParams, _compositions, enumerate_basis,
+                   indices_up_to)
 from .sparse import frac_str
 from .words import ProductResult, precedes, projection_product
 
@@ -181,13 +182,6 @@ def functional_apply(key: FunctionalKey, nu: MultiIndex, vacuum_flag: bool = Fal
     return 1 if (nu == key.mu or precedes(nu, key.mu)) else 0
 
 
-def _indices_up_to(n: int, cap: int) -> List[MultiIndex]:
-    out: List[MultiIndex] = []
-    for d in range(cap + 1):
-        out.extend(_compositions(d, n))
-    return out
-
-
 def verify_multiplicativity(cfg: SpectrumConfig, degree_cap: int) -> dict:
     """Exhaustively check phi(P_nu P_rho) = phi(P_nu) phi(P_rho).
 
@@ -195,31 +189,32 @@ def verify_multiplicativity(cfg: SpectrumConfig, degree_cap: int) -> dict:
     product vanishes the functional value of 0 is taken as 0.  The constant
     identity functional then sees 0 != 1 on annihilating pairs; those cases
     are reported separately as caveats, not as failures, because a constant
-    functional cannot be multiplicative on a zero product.
+    functional cannot be multiplicative on a zero product.  Each functional
+    is evaluated once per index, as a row read by every case of its key.
     """
     if degree_cap > cfg.max_degree:
         raise ValueError("degree cap exceeds max_degree")
-    indices = _indices_up_to(cfg.n, degree_cap)
+    indices = indices_up_to(cfg.n, degree_cap)
     keys = [FunctionalKey.vacuum(), FunctionalKey.identity()]
     keys.extend(FunctionalKey.point(mu) for mu in indices)
-    cases = 0
     failures: List[dict] = []
     caveats = 0
     first_caveat = None
+    zero, left = ProductResult.ZERO, ProductResult.LEFT_SURVIVES
     for key in keys:
-        for nu in indices:
-            for rho in indices:
+        row = [functional_apply(key, nu) for nu in indices]
+        for nu, nu_value in zip(indices, row):
+            for rho, rho_value in zip(indices, row):
                 outcome = projection_product(nu, rho)
-                if outcome is ProductResult.ZERO:
+                if outcome is zero:
                     product_value = 0
-                elif outcome is ProductResult.LEFT_SURVIVES:
-                    product_value = functional_apply(key, nu)
+                elif outcome is left:
+                    product_value = nu_value
                 else:
-                    product_value = functional_apply(key, rho)
-                expected = functional_apply(key, nu) * functional_apply(key, rho)
-                cases += 1
+                    product_value = rho_value
+                expected = nu_value * rho_value
                 if product_value != expected:
-                    if key.kind == "identity" and outcome is ProductResult.ZERO:
+                    if key.kind == "identity" and outcome is zero:
                         caveats += 1
                         if first_caveat is None:
                             first_caveat = {"nu": list(nu), "rho": list(rho)}
@@ -231,7 +226,7 @@ def verify_multiplicativity(cfg: SpectrumConfig, degree_cap: int) -> dict:
                             "got": product_value, "want": expected,
                         })
     return {
-        "cases": cases,
+        "cases": len(keys) * len(indices) ** 2,
         "failures": len(failures),
         "first_failure": failures[0] if failures else None,
         "identity_zero_product_caveats": caveats,

@@ -15,8 +15,8 @@ from itertools import product as cartesian
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import masa
-from .fock import (GuardedIdentity, MultiIndex, TruncationParams, basis_degrees,
-                   check_guarded_identity, _compositions)
+from .fock import (GuardedIdentity, TruncationParams, basis_degrees,
+                   check_guarded_identity, indices_up_to)
 from .sparse import SparseOp, frac_str
 from .spectrum import (SpectrumConfig, boundary_points, boundary_convergence_report,
                        interior_points, r_value, verify_multiplicativity)
@@ -67,13 +67,6 @@ def _guarded_word_check(params: TruncationParams, name: str,
     return _check(name, result.columns_checked, 0 if result.ok else 1,
                   result.first_failure, guard=result.guard,
                   truncationArtifact=result.truncation_artifact)
-
-
-def indices_up_to(n: int, cap: int) -> List[MultiIndex]:
-    out: List[MultiIndex] = []
-    for d in range(cap + 1):
-        out.extend(_compositions(d, n))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +601,8 @@ def run_suite(name: str, n: int, max_degree: int, c: Fraction,
 
 def run_all(n: int, max_degree: int, c: Fraction,
             roots: Optional[Sequence[int]] = None, jobs: int = 1) -> dict:
+    # one worker per suite at most: a larger pool only forks idle processes
+    jobs = min(jobs, len(SUITE_NAMES))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -25,7 +25,12 @@ matrices on the truncation guard band (see :mod:`wmfock.fock`).
 
 This module also hosts the combinatorial order ``nu < mu`` on projection
 indices and the induced product rule for the diagonal projections
-``P_mu = a*(mu) a(mu)``.
+``P_mu = a*(mu) a(mu)``.  The order has a closed form: ``nu < mu`` exactly
+when, at the highest letter k where the two indices differ, ``nu_k < mu_k``
+and ``nu`` is zero below k.  Both :func:`precedes_pivot` and
+:func:`projection_product` are one top-down pass over the letters.  The
+``projections`` suite still checks the product rule against exact matrix
+products of the truncated model.
 """
 
 from __future__ import annotations
@@ -459,25 +464,30 @@ class ProductResult(Enum):
     RIGHT_SURVIVES = "right"
 
 
+# Enum members bound once: the product rule runs millions of times per suite.
+_ZERO_PRODUCT = ProductResult.ZERO
+_LEFT_PRODUCT = ProductResult.LEFT_SURVIVES
+_RIGHT_PRODUCT = ProductResult.RIGHT_SURVIVES
+
+
 def precedes_pivot(nu: MultiIndex, mu: MultiIndex) -> Optional[int]:
     """The pivot letter witnessing ``nu < mu``, or None.
 
     ``nu < mu`` holds when some letter k has equal tails above it
     (nu_j = mu_j for j > k), a strict gap at k (nu_k < mu_k), and nothing of
-    nu below it (nu_j = 0 for j < k).  Admissible pivots run over the full
-    range 1..n; at most one letter can satisfy the conditions, so the
-    witness is unique.
+    nu below it (nu_j = 0 for j < k).  Equal tails above k make k the
+    highest letter where the indices differ, so one top-down pass finds the
+    only candidate and checks the other two conditions there.  Pivots run
+    over the full range 1..n.
     """
-    if len(nu) != len(mu):
-        raise ValueError("length mismatch: %d vs %d" % (len(nu), len(mu)))
-    if tuple(nu) == tuple(mu):
-        return None
-    n = len(mu)
-    for k in range(1, n + 1):
-        if (nu[k - 1] < mu[k - 1]
-                and all(nu[j] == mu[j] for j in range(k, n))
-                and all(nu[j] == 0 for j in range(k - 1))):
-            return k
+    k = len(mu)
+    if len(nu) != k:
+        raise ValueError("length mismatch: %d vs %d" % (len(nu), k))
+    while k:
+        k -= 1
+        nu_k, mu_k = nu[k], mu[k]
+        if nu_k != mu_k:
+            return k + 1 if nu_k < mu_k and not any(nu[:k]) else None
     return None
 
 
@@ -492,15 +502,20 @@ def projection_product(mu: MultiIndex, nu: MultiIndex) -> ProductResult:
     Equal indices and ``nu < mu`` leave the left factor; ``mu < nu`` leaves
     the right factor; incomparable indices annihilate.  This matches the
     exact matrix product on the truncated model whenever both indices fit.
+    The highest differing letter decides: the index that is smaller there
+    precedes the other exactly when it has nothing below that letter.
     """
-    mu, nu = tuple(mu), tuple(nu)
-    if len(mu) != len(nu):
-        raise ValueError("length mismatch: %d vs %d" % (len(mu), len(nu)))
-    if mu == nu or precedes(nu, mu):
-        return ProductResult.LEFT_SURVIVES
-    if precedes(mu, nu):
-        return ProductResult.RIGHT_SURVIVES
-    return ProductResult.ZERO
+    k = len(mu)
+    if len(nu) != k:
+        raise ValueError("length mismatch: %d vs %d" % (k, len(nu)))
+    while k:
+        k -= 1
+        mu_k, nu_k = mu[k], nu[k]
+        if mu_k != nu_k:
+            if nu_k < mu_k:
+                return _ZERO_PRODUCT if any(nu[:k]) else _LEFT_PRODUCT
+            return _ZERO_PRODUCT if any(mu[:k]) else _RIGHT_PRODUCT
+    return _LEFT_PRODUCT
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,10 @@ from wmfock.spectrum import (BOUNDARY, INTERIOR, BoundaryPattern, FunctionalKey,
                              enumerate_spectrum, functional_apply,
                              interior_points, r_value, render_provenance,
                              verify_multiplicativity)
+from wmfock.fock import indices_up_to
+from wmfock.words import ProductResult
+
+from test_words import precedes_pivot_oracle, projection_product_oracle
 
 HALF = Fraction(1, 2)
 
@@ -104,6 +108,62 @@ def test_multiplicativity_no_failures(n):
     assert report["identity_zero_product_caveats"] > 0
 
 
+def _functional_oracle(key, nu):
+    if key.kind == "identity":
+        return 1
+    if key.kind == "vacuum":
+        return 0
+    return 1 if (nu == key.mu or precedes_pivot_oracle(nu, key.mu) is not None) else 0
+
+
+def _multiplicativity_oracle(cfg, degree_cap):
+    """The case-by-case triple loop, on the reference order test."""
+    indices = indices_up_to(cfg.n, degree_cap)
+    keys = [FunctionalKey.vacuum(), FunctionalKey.identity()]
+    keys.extend(FunctionalKey.point(mu) for mu in indices)
+    cases = 0
+    failures = []
+    caveats = 0
+    first_caveat = None
+    for key in keys:
+        for nu in indices:
+            for rho in indices:
+                outcome = projection_product_oracle(nu, rho)
+                if outcome is ProductResult.ZERO:
+                    product_value = 0
+                elif outcome is ProductResult.LEFT_SURVIVES:
+                    product_value = _functional_oracle(key, nu)
+                else:
+                    product_value = _functional_oracle(key, rho)
+                expected = _functional_oracle(key, nu) * _functional_oracle(key, rho)
+                cases += 1
+                if product_value != expected:
+                    if key.kind == "identity" and outcome is ProductResult.ZERO:
+                        caveats += 1
+                        if first_caveat is None:
+                            first_caveat = {"nu": list(nu), "rho": list(rho)}
+                    else:
+                        failures.append({
+                            "functional": key.render(),
+                            "nu": list(nu), "rho": list(rho),
+                            "product": outcome.value,
+                            "got": product_value, "want": expected,
+                        })
+    return {
+        "cases": cases,
+        "failures": len(failures),
+        "first_failure": failures[0] if failures else None,
+        "identity_zero_product_caveats": caveats,
+        "first_caveat": first_caveat,
+    }
+
+
+@pytest.mark.parametrize("n,cap", [(2, 6), (3, 5)])
+def test_multiplicativity_matches_oracle_loop(n, cap):
+    cfg = SpectrumConfig(n, cap, HALF)
+    assert verify_multiplicativity(cfg, cap) == _multiplicativity_oracle(cfg, cap)
+
+
 def test_multiplicativity_rejects_high_cap():
     with pytest.raises(ValueError):
         verify_multiplicativity(SpectrumConfig(2, 3, HALF), 4)
@@ -111,8 +171,7 @@ def test_multiplicativity_rejects_high_cap():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_point_functional_agrees_with_product_rule(n):
-    from wmfock.suites import indices_up_to
-    from wmfock.words import ProductResult, projection_product
+    from wmfock.words import projection_product
 
     for mu in indices_up_to(n, 4):
         key = FunctionalKey.point(mu)

@@ -1,5 +1,6 @@
 """Suite-level behavior: dispatch, degenerate configurations, reports."""
 
+import concurrent.futures
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,37 @@ def test_every_suite_clean_at_desk_scale(name):
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("bogus", 2, 6, HALF)
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size, runs calls inline."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def test_run_all_clamps_jobs_to_suite_count(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    pooled = run_all(2, 3, HALF, roots=(2,), jobs=5000)
+    assert _InlinePool.sizes == [len(SUITE_NAMES)]
+    run_all(2, 3, HALF, roots=(2,), jobs=3)
+    assert _InlinePool.sizes == [len(SUITE_NAMES), 3]
+    assert pooled == run_all(2, 3, HALF, roots=(2,), jobs=1)
+    assert _InlinePool.sizes == [len(SUITE_NAMES), 3]
 
 
 def test_run_all_prefixes_check_names():

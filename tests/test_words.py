@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wmfock.fock import TruncationParams, basis_index
+from wmfock.fock import TruncationParams, basis_index, indices_up_to
 from wmfock.sparse import SparseOp
 from wmfock.words import (GeneratorIndexError, GeneratorSymbol, NormalForm,
                           NormalMonomial, ProductResult, WordSyntaxError,
@@ -190,6 +190,41 @@ def test_creation_guard_values():
 # ---------------------------------------------------------------------------
 
 
+def precedes_pivot_oracle(nu, mu):
+    """Reference order test: a nested scan over every candidate pivot.
+
+    Tries each letter k in turn for equal tails above it, a strict gap at
+    it and nothing of ``nu`` below it.  The library kernel never calls it.
+    """
+    if len(nu) != len(mu):
+        raise ValueError("length mismatch: %d vs %d" % (len(nu), len(mu)))
+    if tuple(nu) == tuple(mu):
+        return None
+    n = len(mu)
+    for k in range(1, n + 1):
+        if (nu[k - 1] < mu[k - 1]
+                and all(nu[j] == mu[j] for j in range(k, n))
+                and all(nu[j] == 0 for j in range(k - 1))):
+            return k
+    return None
+
+
+def projection_product_oracle(mu, nu):
+    """Reference product rule built on two oracle order tests."""
+    if tuple(mu) == tuple(nu) or precedes_pivot_oracle(nu, mu) is not None:
+        return ProductResult.LEFT_SURVIVES
+    if precedes_pivot_oracle(mu, nu) is not None:
+        return ProductResult.RIGHT_SURVIVES
+    return ProductResult.ZERO
+
+
+def _assert_kernel_matches_oracle(mu, nu):
+    pivot = precedes_pivot_oracle(nu, mu)
+    assert precedes_pivot(nu, mu) == pivot
+    assert precedes(nu, mu) is (pivot is not None)
+    assert projection_product(mu, nu) is projection_product_oracle(mu, nu)
+
+
 def test_precedes_examples():
     assert precedes((0, 1, 2), (2, 3, 2))
     assert precedes_pivot((0, 1, 2), (2, 3, 2)) == 2
@@ -208,6 +243,45 @@ def test_precedes_pivot_covers_full_letter_range():
 def test_precedes_length_mismatch():
     with pytest.raises(ValueError):
         precedes((1, 0), (1, 0, 0))
+    with pytest.raises(ValueError):
+        precedes_pivot((1, 0, 0), (1, 0))
+
+
+def test_projection_product_length_mismatch():
+    with pytest.raises(ValueError):
+        projection_product((1, 0), (1, 0, 0))
+    with pytest.raises(ValueError):
+        projection_product((0, 0, 1), (0, 1))
+
+
+@pytest.mark.parametrize("n,cap", [(2, 6), (3, 5), (4, 4), (5, 3)])
+def test_order_kernel_matches_oracle_exhaustive(n, cap):
+    indices = indices_up_to(n, cap)
+    for mu in indices:
+        for nu in indices:
+            _assert_kernel_matches_oracle(mu, nu)
+
+
+@st.composite
+def _count_vector_pairs(draw):
+    # nu copies a random top tail of mu and is mostly zero below it, so
+    # comparable pairs are common; either side may be a list or a tuple
+    n = draw(st.integers(2, 6))
+    mu = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    shared = draw(st.integers(0, n))
+    head = draw(st.lists(st.sampled_from((0, 0, 0, 1, 2, 5)),
+                         min_size=n - shared, max_size=n - shared))
+    nu = head + mu[n - shared:]
+    return draw(st.sampled_from((list, tuple)))(mu), draw(st.sampled_from((list, tuple)))(nu)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_count_vector_pairs())
+def test_order_kernel_matches_oracle_on_random_vectors(pair):
+    mu, nu = pair
+    _assert_kernel_matches_oracle(mu, nu)
+    _assert_kernel_matches_oracle(nu, mu)
+    _assert_kernel_matches_oracle(mu, list(mu))
 
 
 def test_projection_product_examples():
@@ -219,7 +293,6 @@ def test_projection_product_examples():
 
 @pytest.mark.parametrize("n,cap", [(2, 5), (3, 5)])
 def test_precedes_antisymmetric_exhaustive(n, cap):
-    from wmfock.suites import indices_up_to
     indices = indices_up_to(n, cap)
     for mu in indices:
         for nu in indices:
