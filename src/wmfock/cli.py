@@ -20,7 +20,8 @@ from typing import Optional, Sequence
 from . import gauge as gauge_mod
 from . import masa, suites
 from .fock import TruncationParams
-from .spectrum import SpectrumConfig, emit_csv, emit_svg, enumerate_spectrum
+from .spectrum import (SpectrumConfig, check_svg_dimension, emit_csv, emit_svg,
+                       enumerate_spectrum)
 from .words import (GeneratorIndexError, WordSyntaxError, creation_guard,
                     evaluate, evaluate_word, parse_word, rewrite)
 
@@ -120,6 +121,8 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     cfg = SpectrumConfig(args.n, args.max_degree, args.c)
+    if args.format == "svg":
+        check_svg_dimension(cfg.n)  # before the enumeration, which may be long
     points = enumerate_spectrum(cfg)
     if args.format == "csv":
         text = emit_csv(points, cfg.n)

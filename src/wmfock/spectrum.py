@@ -11,7 +11,12 @@ of 0/1 bits below it, and a finite tail above it.
 
 Coordinates are exact rationals throughout; the decimal columns of the CSV
 dataset are a 15-significant-digit rendering (round half to even) computed
-by integer arithmetic, so emitted files are byte-deterministic.
+by integer arithmetic, so emitted files are byte-deterministic.  Since
+``r_k <= max_degree``, every coordinate takes one of at most
+``max_degree + 2`` values for a given ``c``: 0, 1 and ``1 - c**r`` for
+r = 1..max_degree.  Each value is computed once per :func:`interior_points`
+call, and each value (CSV) or projected coordinate pair (SVG) is rendered
+once per emit call.
 """
 
 from __future__ import annotations
@@ -117,8 +122,26 @@ def boundary_coords(pattern: BoundaryPattern, cfg: SpectrumConfig) -> Tuple[Frac
 
 
 def interior_points(cfg: SpectrumConfig) -> List[SpectrumPoint]:
-    params = TruncationParams(cfg.n, cfg.max_degree)
-    return [embed(mu, cfg.c) for mu in enumerate_basis(params)]
+    """The images of the indices of degree ``<= max_degree``, in graded order.
+
+    Equal to ``embed`` on every index, but each coordinate is read from a
+    table ``values[r] = 1 - c**r`` built once, so points share its Fractions.
+    """
+    values = [Fraction(0)]
+    power = Fraction(1)
+    for _ in range(cfg.max_degree):
+        power *= cfg.c
+        values.append(1 - power)
+    points = []
+    for mu in enumerate_basis(TruncationParams(cfg.n, cfg.max_degree)):
+        coords = []
+        tail = 0  # r_k = mu_k + ... + mu_n when mu_k > 0, read right to left
+        for m in reversed(mu):
+            tail += m
+            coords.append(values[tail] if m else values[0])
+        coords.reverse()
+        points.append(SpectrumPoint(tuple(coords), INTERIOR, (mu,)))
+    return points
 
 
 def boundary_points(cfg: SpectrumConfig) -> List[SpectrumPoint]:
@@ -328,10 +351,20 @@ def emit_csv(points: Sequence[SpectrumPoint], n: int) -> str:
     header.extend("x%d" % k for k in range(1, n + 1))
     header.extend("x%d_dec" % k for k in range(1, n + 1))
     lines = [",".join(header)]
+    # Keyed by (numerator, denominator): Fraction.__hash__ is not cached and
+    # costs a modular inverse of the denominator on every call.
+    rendered: Dict[Tuple[int, int], Tuple[str, str]] = {}
     for point in points:
+        cells = []
+        for x in point.coords:
+            key = (x.numerator, x.denominator)
+            cell = rendered.get(key)
+            if cell is None:
+                cell = rendered[key] = (frac_str(x), decimal15(x))
+            cells.append(cell)
         row = [point.kind, point_provenance(point)]
-        row.extend(frac_str(x) for x in point.coords)
-        row.extend(decimal15(x) for x in point.coords)
+        row.extend(exact for exact, _ in cells)
+        row.extend(dec for _, dec in cells)
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
@@ -365,14 +398,19 @@ def _pixel(u: Fraction, v: Fraction, scale: Fraction) -> Tuple[Fraction, Fractio
     return px, py
 
 
+def check_svg_dimension(n: int) -> None:
+    """Raise ``ValueError`` unless :func:`emit_svg` can draw dimension ``n``."""
+    if n not in (2, 3):
+        raise ValueError("svg emission supports n = 2 or 3 only; use csv")
+
+
 def emit_svg(points: Sequence[SpectrumPoint], n: int) -> str:
     """Unit square (n=2) or projected unit cube (n=3) with the point set.
 
     Interior points are filled dots, boundary points open squares.  Output
     is byte-deterministic for a fixed input order.
     """
-    if n not in (2, 3):
-        raise ValueError("svg emission supports n = 2 or 3 only; use csv")
+    check_svg_dimension(n)
     span = Fraction(1) if n == 2 else Fraction(7, 5)
     scale = (_SVG_SIZE - 2 * _SVG_MARGIN) / span
     corners = [(Fraction(x1), Fraction(x2)) for x1 in (0, 1) for x2 in (0, 1)]
@@ -400,16 +438,30 @@ def emit_svg(points: Sequence[SpectrumPoint], n: int) -> str:
         lines.append('<line x1="%s" y1="%s" x2="%s" y2="%s" '
                      'stroke="#888888" stroke-width="1"/>'
                      % (_fmt2(x1), _fmt2(y1), _fmt2(x2), _fmt2(y2)))
+    # The x pixel depends only on (x1, x2) for n = 3 and on x1 for n = 2, the
+    # y pixel only on (x2, x3) or x2.  Each axis memo maps those coordinates,
+    # as (numerator, denominator) pairs, to the rendered (centre, centre - 4).
+    x_texts: Dict[tuple, Tuple[str, str]] = {}
+    y_texts: Dict[tuple, Tuple[str, str]] = {}
     for point in points:
-        px, py = _pixel(*_project(point.coords), scale)
+        keys = [(x.numerator, x.denominator) for x in point.coords]
+        x_key, y_key = tuple(keys[:n - 1]), tuple(keys[1:])
+        x_text = x_texts.get(x_key)
+        if x_text is None:
+            px = _pixel(*_project(point.coords), scale)[0]
+            x_text = x_texts[x_key] = (_fmt2(px), _fmt2(px - 4))
+        y_text = y_texts.get(y_key)
+        if y_text is None:
+            py = _pixel(*_project(point.coords), scale)[1]
+            y_text = y_texts[y_key] = (_fmt2(py), _fmt2(py - 4))
         title = "%s %s" % (point.kind, point_provenance(point))
         if point.kind == INTERIOR:
             lines.append('<circle cx="%s" cy="%s" r="4" fill="#c0392b">'
-                         '<title>%s</title></circle>' % (_fmt2(px), _fmt2(py), title))
+                         '<title>%s</title></circle>' % (x_text[0], y_text[0], title))
         else:
             lines.append('<rect x="%s" y="%s" width="8" height="8" fill="none" '
                          'stroke="#2c3e50" stroke-width="1.5">'
                          '<title>%s</title></rect>'
-                         % (_fmt2(px - 4), _fmt2(py - 4), title))
+                         % (x_text[1], y_text[1], title))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -70,6 +70,18 @@ def test_spectrum_csv_contains_worked_point(tmp_path):
     assert "interior,(1;1),3/4,1/2,0.75,0.5" in lines
 
 
+def test_spectrum_svg_rejects_dimension_before_enumerating(monkeypatch, capsys):
+    import wmfock.cli
+
+    def must_not_run(cfg):
+        raise AssertionError("enumerated the spectrum for an svg it cannot draw")
+
+    monkeypatch.setattr(wmfock.cli, "enumerate_spectrum", must_not_run)
+    argv = ["spectrum", "--format", "svg", "--n", "4", "--max-degree", "40"]
+    assert wmfock.cli.main(argv) == 2
+    assert "svg emission supports n = 2 or 3 only; use csv" in capsys.readouterr().err
+
+
 def test_spectrum_svg(tmp_path):
     out = tmp_path / "points.svg"
     result = run_cli("spectrum", "--n", "2", "--max-degree", "3",

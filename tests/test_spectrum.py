@@ -1,17 +1,22 @@
 """Spectrum embedding, functionals, enumeration, and dataset emission."""
 
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wmfock.spectrum import (BOUNDARY, INTERIOR, BoundaryPattern, FunctionalKey,
-                             SpectrumConfig, boundary_convergence_report,
-                             boundary_patterns, boundary_points, decimal15,
-                             embed, embed_coords, emit_csv, emit_svg,
-                             enumerate_spectrum, functional_apply,
-                             interior_points, r_value, render_provenance,
-                             verify_multiplicativity)
+                             SpectrumConfig, SpectrumPoint, _SVG_MARGIN, _SVG_SIZE,
+                             _fmt2, _pixel, _project,
+                             boundary_convergence_report, boundary_patterns,
+                             boundary_points, decimal15, embed, embed_coords,
+                             emit_csv, emit_svg, enumerate_spectrum,
+                             functional_apply, interior_points, point_provenance,
+                             r_value, render_provenance, verify_multiplicativity)
 from wmfock.fock import indices_up_to
+from wmfock.sparse import frac_str
 from wmfock.words import ProductResult
 
 from test_words import precedes_pivot_oracle, projection_product_oracle
@@ -245,3 +250,93 @@ def test_svg_n3_projection():
 def test_svg_rejects_higher_dimensions():
     with pytest.raises(ValueError):
         emit_svg([], 4)
+
+
+def _csv_reference(points, n):
+    """The emitter loop rendering every coordinate of every point."""
+    header = ["kind", "provenance"]
+    header.extend("x%d" % k for k in range(1, n + 1))
+    header.extend("x%d_dec" % k for k in range(1, n + 1))
+    lines = [",".join(header)]
+    for point in points:
+        row = [point.kind, point_provenance(point)]
+        row.extend(frac_str(x) for x in point.coords)
+        row.extend(decimal15(x) for x in point.coords)
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def _svg_reference(points, n):
+    """The emitter loop projecting and rendering every point on its own."""
+    lines = [emit_svg([], n)[:-len("</svg>\n")]]  # header and frame
+    scale = (_SVG_SIZE - 2 * _SVG_MARGIN) / (Fraction(1) if n == 2 else Fraction(7, 5))
+    for point in points:
+        px, py = _pixel(*_project(point.coords), scale)
+        title = "%s %s" % (point.kind, point_provenance(point))
+        if point.kind == INTERIOR:
+            lines.append('<circle cx="%s" cy="%s" r="4" fill="#c0392b">'
+                         '<title>%s</title></circle>\n' % (_fmt2(px), _fmt2(py), title))
+        else:
+            lines.append('<rect x="%s" y="%s" width="8" height="8" fill="none" '
+                         'stroke="#2c3e50" stroke-width="1.5">'
+                         '<title>%s</title></rect>\n'
+                         % (_fmt2(px - 4), _fmt2(py - 4), title))
+    lines.append("</svg>\n")
+    return "".join(lines)
+
+
+def _check_against_references(cfg):
+    indices = indices_up_to(cfg.n, cfg.max_degree)
+    interior = interior_points(cfg)
+    assert [p.coords for p in interior] == [embed_coords(mu, cfg.c) for mu in indices]
+    assert interior == [embed(mu, cfg.c) for mu in indices]
+    points = enumerate_spectrum(cfg)
+    assert emit_csv(points, cfg.n) == _csv_reference(points, cfg.n)
+    assert emit_svg(points, cfg.n) == _svg_reference(points, cfg.n)
+
+
+@pytest.mark.parametrize("c", [HALF, Fraction(3, 7), Fraction(5, 7)])
+@pytest.mark.parametrize("n,degree", [(2, 12), (3, 10)])
+def test_emitters_match_reference_loops(n, degree, c):
+    _check_against_references(SpectrumConfig(n, degree, c))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([2, 3]), degree=st.integers(1, 8),
+       q=st.integers(2, 40), data=st.data())
+def test_emitters_match_reference_loops_property(n, degree, q, data):
+    p = data.draw(st.integers(1, q - 1))
+    _check_against_references(SpectrumConfig(n, degree, Fraction(p, q)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_emitters_do_not_rely_on_shared_coordinate_objects(n):
+    cfg = SpectrumConfig(n, 6, Fraction(3, 7))
+    points = [SpectrumPoint(tuple(Fraction(x.numerator, x.denominator) for x in p.coords),
+                            p.kind, p.provenance)
+              for p in enumerate_spectrum(cfg)]
+    random.Random(5).shuffle(points)
+    copies = [x for p in points for x in p.coords if x == 1 - cfg.c]
+    assert len(copies) > 1 and copies[0] is not copies[1]
+    assert emit_csv(points, n) == _csv_reference(points, n)
+    assert emit_svg(points, n) == _svg_reference(points, n)
+
+
+# SHA-256 of the datasets, recorded before the emitters were memoised and
+# identical under CPython 3.10, 3.11, 3.12 and 3.13.
+GOLDEN_DIGESTS = {
+    (2, 20, Fraction(5, 7)): (
+        "02036d8656db95b3b400d8ac2f84864603c624e8f3882b812df1a1377cf8c1b3",
+        "da4fd8dceabe2c705a34151e74f6a4a8271bce368f5e1076fc7a62892caf958c"),
+    (3, 12, Fraction(3, 7)): (
+        "00172c335a82e63c4249ec73780839e751dd9d80aa8455b301a9f0ac56d6772f",
+        "08ea3362e3412b5f9b7cbec936f74767d76e15627ee4044b4728bc9b69c2de03"),
+}
+
+
+@pytest.mark.parametrize("n,degree,c", sorted(GOLDEN_DIGESTS))
+def test_dataset_golden_digests(n, degree, c):
+    points = enumerate_spectrum(SpectrumConfig(n, degree, c))
+    digests = tuple(hashlib.sha256(emit(points, n).encode("utf-8")).hexdigest()
+                    for emit in (emit_csv, emit_svg))
+    assert digests == GOLDEN_DIGESTS[(n, degree, c)]
