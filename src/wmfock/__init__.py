@@ -11,12 +11,11 @@ from .fock import (CheckResult, GuardedIdentity, MultiIndex, TruncationParams,
                    annihilator, check_guarded_identity, creator,
                    enumerate_basis, vacuum_projection)
 from .gauge import (BLOCK_SHIFT_UNITARY, PAPER_UNITARY, BundleRep, CirclePhase,
-                    PhaseMatrix, build_bundle, check_covariance,
-                    check_quotient_relation, gauge_unitary,
-                    vacuum_operator_spectrum)
+                    build_bundle, check_covariance, check_quotient_relation,
+                    gauge_unitary, vacuum_operator_spectrum)
 from .masa import (DiagonalOp, expectation, expectation_of_monomial,
                    rank_one_projection)
-from .sparse import FockVector, SparseOp, frac_str
+from .sparse import PhaseMatrix, SparseOp, frac_str
 from .spectrum import (FunctionalKey, SpectrumConfig, SpectrumPoint, embed,
                        emit_csv, emit_svg, enumerate_spectrum,
                        functional_apply, r_value, verify_multiplicativity)
@@ -28,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BLOCK_SHIFT_UNITARY", "BundleRep", "CheckResult", "CirclePhase",
-    "DiagonalOp", "FockVector", "FunctionalKey", "GeneratorSymbol",
+    "DiagonalOp", "FunctionalKey", "GeneratorSymbol",
     "GuardedIdentity", "MultiIndex", "NormalForm", "NormalMonomial",
     "PAPER_UNITARY", "PhaseMatrix", "ProductResult", "SparseOp",
     "SpectrumConfig", "SpectrumPoint", "TruncationParams", "Word",

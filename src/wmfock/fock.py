@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import comb
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .sparse import SparseOp, frac_str
+from .sparse import PhaseMatrix, SparseOp, frac_str
 
 MultiIndex = Tuple[int, ...]
 
@@ -111,11 +111,11 @@ def basis_degrees(params: TruncationParams) -> Tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def column_map(params: TruncationParams, index: int, starred: bool) -> Tuple[int, ...]:
-    """Generator action as a map basis position -> image position (-1 for zero).
+def column_map(params: TruncationParams, index: int, starred: bool) -> PhaseMatrix:
+    """Generator action as an order-1 :class:`PhaseMatrix`.
 
     Every generator sends each basis vector to a single basis vector or to
-    zero, so a position map is a faithful matrix representation.
+    zero, so its column images are a faithful matrix representation.
     """
     if starred:
         if not 1 <= index <= params.n:
@@ -128,7 +128,7 @@ def column_map(params: TruncationParams, index: int, starred: bool) -> Tuple[int
     out = [-1] * len(basis)
     if index == 0:
         out[0] = 0  # vacuum projection
-        return tuple(out)
+        return PhaseMatrix(out)
     for pos, mu in enumerate(basis):
         if starred:
             # add e_index on top: legal iff no larger letter is present
@@ -140,36 +140,23 @@ def column_map(params: TruncationParams, index: int, starred: bool) -> Tuple[int
             if mu[index - 1] >= 1 and top_letter(mu) == index:
                 img = mu[: index - 1] + (mu[index - 1] - 1,) + mu[index:]
                 out[pos] = lookup[img]
-    return tuple(out)
-
-
-def _map_to_op(params: TruncationParams, cmap: Tuple[int, ...]) -> SparseOp:
-    dim = params.basis_size
-    op = SparseOp(dim)
-    op.entries = {(row, col): Fraction(1) for col, row in enumerate(cmap) if row >= 0}
-    return op
+    return PhaseMatrix(out)
 
 
 @lru_cache(maxsize=None)
 def annihilator(params: TruncationParams, index: int) -> SparseOp:
     """Matrix of A_i for i >= 1; for i = 0 the rank-one vacuum projection."""
-    return _map_to_op(params, column_map(params, index, False))
+    return column_map(params, index, False).to_op()
 
 
 @lru_cache(maxsize=None)
 def creator(params: TruncationParams, index: int) -> SparseOp:
     """Matrix of the creator with test letter ``e_index`` (1-based)."""
-    return _map_to_op(params, column_map(params, index, True))
+    return column_map(params, index, True).to_op()
 
 
 def vacuum_projection(params: TruncationParams) -> SparseOp:
     return annihilator(params, 0)
-
-
-def generator(params: TruncationParams, index: int, starred: bool) -> SparseOp:
-    if starred and index == 0:
-        return annihilator(params, 0)  # the vacuum projection is self-adjoint
-    return creator(params, index) if starred else annihilator(params, index)
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,18 +18,22 @@ mismatches the annihilators exactly on their degree-one-to-vacuum matrix
 elements (the image vacuum lands in the shifted block); those deviations
 are reported entry by entry rather than repaired silently.
 
-All matrices here have at most one nonzero per row and per column with the
-entry a pure phase, so products never require adding distinct phases and
-every verdict is exact integer arithmetic on exponents.
+Every operator here is a :class:`~wmfock.sparse.PhaseMatrix`, the one
+column-stored kernel for monomial operators: each column holds at most one
+entry, a K-th root of unity kept as its exponent.  Products, adjoints and
+comparisons are exact integer arithmetic on those exponents; linear
+combinations, which this module never forms, are
+:class:`~wmfock.sparse.SparseOp`'s job.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from .fock import TruncationParams, basis_degrees, column_map
+from .sparse import PhaseMatrix
 
 PAPER_UNITARY = "paper"
 BLOCK_SHIFT_UNITARY = "shift"
@@ -58,72 +62,6 @@ class CirclePhase:
 
     def __str__(self) -> str:
         return "w^%d (K=%d)" % (self.exponent, self.order)
-
-
-class PhaseMatrix:
-    """Sparse matrix whose nonzero entries are exact roots of unity."""
-
-    __slots__ = ("dim", "order", "entries")
-
-    def __init__(self, dim: int, order: int,
-                 entries: Optional[Dict[Tuple[int, int], int]] = None):
-        self.dim = dim
-        self.order = order
-        self.entries: Dict[Tuple[int, int], int] = {}
-        if entries:
-            for (r, c), e in entries.items():
-                self.entries[r, c] = e % order
-
-    @classmethod
-    def identity(cls, dim: int, order: int) -> "PhaseMatrix":
-        return cls(dim, order, {(i, i): 0 for i in range(dim)})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PhaseMatrix):
-            return NotImplemented
-        return (self.dim == other.dim and self.order == other.order
-                and self.entries == other.entries)
-
-    def __matmul__(self, other: "PhaseMatrix") -> "PhaseMatrix":
-        if self.dim != other.dim or self.order != other.order:
-            raise ValueError("phase matrix shape/order mismatch")
-        by_col: Dict[int, Tuple[int, int]] = {}
-        for (r, c), e in self.entries.items():
-            if c in by_col:
-                raise ArithmeticError("left factor has two entries in one column")
-            by_col[c] = (r, e)
-        out: Dict[Tuple[int, int], int] = {}
-        for (k, c), e2 in other.entries.items():
-            hit = by_col.get(k)
-            if hit is None:
-                continue
-            r, e1 = hit
-            if (r, c) in out:
-                # cannot happen for partial-permutation factors; a sum of two
-                # distinct phases is not representable, so fail loudly
-                raise ArithmeticError("phase collision at entry (%d, %d)" % (r, c))
-            out[r, c] = (e1 + e2) % self.order
-        return PhaseMatrix(self.dim, self.order, out)
-
-    def adjoint(self) -> "PhaseMatrix":
-        return PhaseMatrix(self.dim, self.order,
-                           {(c, r): -e for (r, c), e in self.entries.items()})
-
-    def scaled(self, exponent: int) -> "PhaseMatrix":
-        """Multiply every entry by the root with the given exponent."""
-        return PhaseMatrix(self.dim, self.order,
-                           {coord: e + exponent for coord, e in self.entries.items()})
-
-    def mismatches(self, other: "PhaseMatrix") -> List[Tuple[int, int, Optional[int], Optional[int]]]:
-        """Sorted (row, col, got, want) for every differing entry."""
-        coords = set(self.entries) | set(other.entries)
-        out = []
-        for coord in sorted(coords):
-            got = self.entries.get(coord)
-            want = other.entries.get(coord)
-            if got != want:
-                out.append((coord[0], coord[1], got, want))
-        return out
 
 
 @dataclass(frozen=True)
@@ -165,18 +103,19 @@ def bundle_operator(rep: BundleRep, index: int) -> PhaseMatrix:
     i >= 1, and the phase-weighted vacuum projection for i = 0."""
     if not 0 <= index <= rep.params.n:
         raise ValueError("index must be in 0..%d" % rep.params.n)
-    entries: Dict[Tuple[int, int], int] = {}
     if index == 0:
-        for s in range(rep.roots):
-            entries[rep.position(s, 0), rep.position(s, 0)] = s
-        return PhaseMatrix(rep.dim, rep.roots, entries)
-    cmap = column_map(rep.params, index, False)
+        image = [-1] * rep.dim
+        phase = [0] * rep.dim
+        for s, pos in enumerate(rep.vacuum_positions()):
+            image[pos] = pos
+            phase[pos] = s
+        return PhaseMatrix(image, rep.roots, phase)
+    block = column_map(rep.params, index, False).image
+    image = []
     for s in range(rep.roots):
         base = s * rep.block_size
-        for col, row in enumerate(cmap):
-            if row >= 0:
-                entries[base + row, base + col] = 0
-    return PhaseMatrix(rep.dim, rep.roots, entries)
+        image.extend(base + row if row >= 0 else -1 for row in block)
+    return PhaseMatrix(image, rep.roots)
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,18 +135,16 @@ def gauge_unitary(rep: BundleRep, w: int, variant: str) -> GaugeUnitary:
     K = rep.roots
     w = w % K
     degrees = basis_degrees(rep.params)
-    entries: Dict[Tuple[int, int], int] = {}
+    image: List[int] = []
+    phase: List[int] = []
     for s in range(K):
         shifted = (s - w) % K
         for b, d in enumerate(degrees):
-            col = rep.position(s, b)
-            if variant == BLOCK_SHIFT_UNITARY:
-                entries[rep.position(shifted, b), col] = -w * d
-            elif d == 0:
-                entries[rep.position(shifted, 0), col] = 0
-            else:
-                entries[col, col] = -w * d
-    matrix = PhaseMatrix(rep.dim, K, entries)
+            # the vacuum (d = 0) moves block in both variants
+            moved = variant == BLOCK_SHIFT_UNITARY or d == 0
+            image.append(rep.position(shifted if moved else s, b))
+            phase.append(-w * d)
+    matrix = PhaseMatrix(image, K, phase)
     if matrix @ matrix.adjoint() != PhaseMatrix.identity(rep.dim, K):
         raise AssertionError("gauge unitary failed the exact unitarity check")
     return GaugeUnitary(variant, CirclePhase(K, w), matrix)
@@ -261,9 +198,10 @@ def vacuum_operator_spectrum(rep: BundleRep) -> dict:
     appears once (on its block vacuum) and 0 fills the rest.
     """
     beta0 = bundle_operator(rep, 0)
-    if any(r != c for (r, c) in beta0.entries):
+    live = [col for col, row in enumerate(beta0.image) if row >= 0]
+    if any(beta0.image[col] != col for col in live):
         raise AssertionError("vacuum generator is not diagonal")
-    exponents = sorted(beta0.entries.values())
+    exponents = sorted(beta0.phase[col] for col in live)
     return {
         "roots": rep.roots,
         "root_exponents": exponents,
@@ -280,11 +218,10 @@ def check_quotient_relation(rep: BundleRep) -> dict:
     self_adjoint = proj == proj.adjoint()
     idempotent = (proj @ proj) == proj
     difference = proj.mismatches(proj.adjoint() @ proj)
-    fixes_vacua = all(proj.entries.get((pos, pos)) == 0 for pos in rep.vacuum_positions())
-    vacuum_columns_clean = all(
-        coord[0] == coord[1] or coord[1] not in rep.vacuum_positions()
-        for coord in proj.entries)
-    ok = self_adjoint and idempotent and not difference and fixes_vacua and vacuum_columns_clean
+    # a column holds one entry, so a fixed vacuum has nothing else in its column
+    fixes_vacua = all(proj.image[pos] == pos and proj.phase[pos] == 0
+                      for pos in rep.vacuum_positions())
+    ok = self_adjoint and idempotent and not difference and fixes_vacua
     return {
         "ok": ok,
         "self_adjoint": self_adjoint,

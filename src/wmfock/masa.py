@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict
 
-from .fock import MultiIndex, TruncationParams, bottom_letter
+from .fock import MultiIndex, TruncationParams, basis_index, bottom_letter
 from .sparse import SparseOp
 from .words import NormalForm, NormalMonomial
 
@@ -103,7 +103,5 @@ def rank_one_projection(mu: MultiIndex, n: int) -> NormalForm:
 
 def matrix_rank_one(mu: MultiIndex, params: TruncationParams) -> SparseOp:
     """The expected matrix: a single 1 at the basis position of ``mu``."""
-    from .fock import basis_index
-
     pos = basis_index(params)[tuple(mu)]
-    return SparseOp.unit(params.basis_size, pos, pos)
+    return SparseOp(params.basis_size, {(pos, pos): _ONE})

@@ -1,19 +1,30 @@
-"""Exact sparse linear algebra over the rationals.
+"""Exact operators on the truncated basis, one representation per kind.
 
-Operators are square matrices stored as dictionaries mapping ``(row, col)``
-to nonzero :class:`~fractions.Fraction` values.  Everything here is exact:
-equality of operators is literal equality of entry maps, so verification
-verdicts need no tolerances.  All scalars in the core model are real
-rationals, hence the adjoint is the plain transpose.
+* :class:`PhaseMatrix`, the kernel for monomial operators: generators,
+  words, normal monomials and gauge unitaries send each basis vector to at
+  most one basis vector, with weight 1 or a root of unity.  They are stored
+  by column: ``image[c]`` is the row of column ``c``'s one entry (-1 for a
+  zero column) and ``phase[c]`` its exponent modulo ``order``.  A 0/1 Fock
+  map is the case ``order = 1``.
+* :class:`SparseOp`, for linear combinations (sums of words, evaluated
+  normal forms, diagonals): a map from ``(row, col)`` to a nonzero
+  :class:`~fractions.Fraction`.  Its scalars are real, so its adjoint is
+  the transpose.
+
+Everything is exact: equal operators have equal arrays or entry maps, so
+verdicts need no tolerances.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterator, Mapping, Optional, Tuple
+from operator import itemgetter
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 Coord = Tuple[int, int]
 Scalar = Fraction
+
+_ONE = Fraction(1)
 
 
 def _frac(value) -> Fraction:
@@ -24,35 +35,6 @@ def frac_str(value: Fraction) -> str:
     """Render a rational as ``p/q`` (denominator always shown)."""
     value = _frac(value)
     return "%d/%d" % (value.numerator, value.denominator)
-
-
-class FockVector:
-    """Sparse vector over the enumerated basis; zero entries are never stored."""
-
-    __slots__ = ("dim", "entries")
-
-    def __init__(self, dim: int, entries: Optional[Mapping[int, Scalar]] = None):
-        self.dim = dim
-        self.entries: Dict[int, Fraction] = {}
-        if entries:
-            for pos, val in entries.items():
-                if not 0 <= pos < dim:
-                    raise ValueError("position %d outside basis of size %d" % (pos, dim))
-                val = _frac(val)
-                if val:
-                    self.entries[pos] = val
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FockVector):
-            return NotImplemented
-        return self.dim == other.dim and self.entries == other.entries
-
-    def __repr__(self) -> str:
-        body = ", ".join("%d: %s" % (p, frac_str(v)) for p, v in sorted(self.entries.items()))
-        return "FockVector(%d, {%s})" % (self.dim, body)
-
-    def is_zero(self) -> bool:
-        return not self.entries
 
 
 class SparseOp:
@@ -78,10 +60,6 @@ class SparseOp:
     @classmethod
     def identity(cls, dim: int) -> "SparseOp":
         return cls(dim, {(i, i): Fraction(1) for i in range(dim)})
-
-    @classmethod
-    def unit(cls, dim: int, row: int, col: int, value: Scalar = Fraction(1)) -> "SparseOp":
-        return cls(dim, {(row, col): value})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseOp):
@@ -156,27 +134,6 @@ class SparseOp:
     # all core scalars are real rationals, so the adjoint is the transpose
     adjoint = transpose
 
-    def apply(self, vec: FockVector) -> FockVector:
-        if vec.dim != self.dim:
-            raise ValueError("dimension mismatch: %d vs %d" % (self.dim, vec.dim))
-        out: Dict[int, Fraction] = {}
-        cols = vec.entries
-        for (r, c), val in self.entries.items():
-            x = cols.get(c)
-            if x is None:
-                continue
-            acc = out.get(r, Fraction(0)) + val * x
-            if acc:
-                out[r] = acc
-            else:
-                del out[r]
-        result = FockVector(self.dim)
-        result.entries = out
-        return result
-
-    def column(self, col: int) -> Dict[int, Fraction]:
-        return {r: val for (r, c), val in self.entries.items() if c == col}
-
     def columns(self) -> Dict[int, Dict[int, Fraction]]:
         out: Dict[int, Dict[int, Fraction]] = {}
         for (r, c), val in self.entries.items():
@@ -192,43 +149,128 @@ class SparseOp:
         result.entries = {coord: val for coord, val in self.entries.items() if coord[1] < ncols}
         return result
 
-    def rank(self) -> int:
-        """Exact rank by fraction-free-ish Gaussian elimination on sparse rows."""
-        rows: Dict[int, Dict[int, Fraction]] = {}
-        for (r, c), val in self.entries.items():
-            rows.setdefault(r, {})[c] = val
-        work = [row for _, row in sorted(rows.items())]
-        rank = 0
-        while work:
-            row = work.pop()
-            if not row:
-                continue
-            pivot_col = min(row)
-            pivot_val = row[pivot_col]
-            rank += 1
-            reduced = []
-            for other in work:
-                x = other.get(pivot_col)
-                if x is not None:
-                    factor = x / pivot_val
-                    for c, val in row.items():
-                        acc = other.get(c, Fraction(0)) - factor * val
-                        if acc:
-                            other[c] = acc
-                        else:
-                            other.pop(c, None)
-                if other:
-                    reduced.append(other)
-            work = reduced
-        return rank
-
     def to_coords(self) -> list:
         """Serialize as sorted ``[row, col, "p/q"]`` triples (JSON-friendly)."""
         return [[r, c, frac_str(v)] for (r, c), v in sorted(self.entries.items())]
 
-    def items_sorted(self) -> Iterator[Tuple[Coord, Fraction]]:
-        return iter(sorted(self.entries.items()))
 
+class PhaseMatrix:
+    """Monomial operator stored by column, with root-of-unity entries.
 
-def columns_equal(a: SparseOp, b: SparseOp, col: int) -> bool:
-    return a.column(col) == b.column(col)
+    A product is array indexing and always has one entry per column; only
+    the adjoint can fail to be representable.  A zero column has phase 0,
+    so equal operators have equal tuples.
+    """
+
+    __slots__ = ("image", "phase", "order")
+
+    def __init__(self, image: Sequence[int], order: int = 1,
+                 phase: Optional[Sequence[int]] = None):
+        if order < 1:
+            raise ValueError("order must be >= 1, got %d" % order)
+        image = tuple(image)
+        dim = len(image)
+        for col, row in enumerate(image):
+            if not -1 <= row < dim:
+                raise ValueError("column %d maps to row %d outside -1..%d" % (col, row, dim - 1))
+        if phase is None:
+            phase = (0,) * dim
+        elif len(phase) != dim:
+            raise ValueError("%d phases for %d columns" % (len(phase), dim))
+        else:
+            phase = tuple(e % order if row >= 0 else 0 for row, e in zip(image, phase))
+        self.image = image
+        self.phase = phase
+        self.order = order
+
+    @classmethod
+    def _from_arrays(cls, image: Tuple[int, ...], phase: Tuple[int, ...],
+                     order: int) -> "PhaseMatrix":
+        # arrays computed from valid operators are valid; skip the checks
+        out = cls.__new__(cls)
+        out.image = image
+        out.phase = phase
+        out.order = order
+        return out
+
+    @classmethod
+    def identity(cls, dim: int, order: int = 1) -> "PhaseMatrix":
+        return cls(range(dim), order)
+
+    @property
+    def dim(self) -> int:
+        return len(self.image)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PhaseMatrix):
+            return NotImplemented
+        return (self.order == other.order and self.image == other.image
+                and self.phase == other.phase)
+
+    def _require_same_shape(self, other: "PhaseMatrix") -> None:
+        if len(self.image) != len(other.image) or self.order != other.order:
+            raise ValueError("phase matrix shape/order mismatch")
+
+    def __matmul__(self, other: "PhaseMatrix") -> "PhaseMatrix":
+        self._require_same_shape(other)
+        # a zero column of ``other`` (row -1) reads the appended -1
+        outer = self.image + (-1,)
+        if len(outer) > 2:
+            image = itemgetter(*other.image)(outer)  # one gather in C
+        else:  # itemgetter returns a bare item for one index, fails for none
+            image = tuple([outer[k] for k in other.image])
+        order = self.order
+        if order == 1:
+            # the trivial group: every exponent is 0, as in ``other.phase``
+            return PhaseMatrix._from_arrays(image, other.phase, 1)
+        left = self.phase
+        phase = tuple([(left[k] + e) % order if row >= 0 else 0
+                       for k, e, row in zip(other.image, other.phase, image)])
+        return PhaseMatrix._from_arrays(image, phase, order)
+
+    def adjoint(self) -> "PhaseMatrix":
+        """Conjugate transpose; raises ArithmeticError when two columns share
+        a row, since the adjoint would then have two entries in one column."""
+        dim, order = len(self.image), self.order
+        image = [-1] * dim
+        phase = [0] * dim
+        for col, row in enumerate(self.image):
+            if row < 0:
+                continue
+            if image[row] >= 0:
+                raise ArithmeticError("columns %d and %d share row %d" % (image[row], col, row))
+            image[row] = col
+            phase[row] = -self.phase[col] % order
+        return PhaseMatrix._from_arrays(tuple(image), tuple(phase), order)
+
+    def scaled(self, exponent: int) -> "PhaseMatrix":
+        """Multiply every entry by the root with the given exponent."""
+        order = self.order
+        phase = tuple([(e + exponent) % order if row >= 0 else 0
+                       for row, e in zip(self.image, self.phase)])
+        return PhaseMatrix._from_arrays(self.image, phase, order)
+
+    def mismatches(self, other: "PhaseMatrix") -> List[Tuple[int, int, Optional[int], Optional[int]]]:
+        """Sorted (row, col, got, want) for every differing entry."""
+        self._require_same_shape(other)
+        out = []
+        for col, (row, got, other_row, want) in enumerate(
+                zip(self.image, self.phase, other.image, other.phase)):
+            if row == other_row:
+                if row >= 0 and got != want:
+                    out.append((row, col, got, want))
+                continue
+            if row >= 0:
+                out.append((row, col, got, None))
+            if other_row >= 0:
+                out.append((other_row, col, None, want))
+        out.sort(key=lambda m: (m[0], m[1]))
+        return out
+
+    def to_op(self) -> SparseOp:
+        """The 0/1 matrix of an order-1 map."""
+        if self.order != 1:
+            raise ValueError("only an order-1 map has rational entries")
+        op = SparseOp(len(self.image))
+        op.entries = {(row, col): _ONE for col, row in enumerate(self.image) if row >= 0}
+        return op

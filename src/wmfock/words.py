@@ -39,11 +39,12 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import matmul
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .fock import MultiIndex, TruncationParams, column_map
-from .sparse import SparseOp, frac_str
+from .sparse import PhaseMatrix, SparseOp, frac_str
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -523,36 +524,23 @@ def projection_product(mu: MultiIndex, nu: MultiIndex) -> ProductResult:
 # ---------------------------------------------------------------------------
 
 
-def _compose_codes(codes: Sequence[int], params: TruncationParams) -> Tuple[int, ...]:
-    maps = [column_map(params, code >> 1, bool(code & 1) and (code >> 1) > 0)
-            for code in codes]
-    size = params.basis_size
-    out = []
-    for col in range(size):
-        row = col
-        for cmap in reversed(maps):
-            row = cmap[row]
-            if row < 0:
-                break
-        out.append(row)
-    return tuple(out)
+def _compose_codes(codes: Sequence[int], params: TruncationParams) -> PhaseMatrix:
+    """Product of the generator maps spelled by ``codes``, leftmost last."""
+    if not codes:
+        return PhaseMatrix.identity(params.basis_size)
+    return reduce(matmul, [column_map(params, code >> 1, bool(code & 1) and (code >> 1) > 0)
+                           for code in codes])
 
 
 @lru_cache(maxsize=None)
-def _monomial_map(monomial: NormalMonomial, params: TruncationParams) -> Tuple[int, ...]:
+def _monomial_map(monomial: NormalMonomial, params: TruncationParams) -> PhaseMatrix:
     return _compose_codes(monomial.codes(), params)
-
-
-def _map_to_op(params: TruncationParams, cmap: Tuple[int, ...], coeff: Fraction = _ONE) -> SparseOp:
-    op = SparseOp(params.basis_size)
-    op.entries = {(row, col): coeff for col, row in enumerate(cmap) if row >= 0}
-    return op
 
 
 def evaluate_monomial(monomial: NormalMonomial, params: TruncationParams) -> SparseOp:
     if monomial.n != params.n:
         raise ValueError("monomial over %d letters, parameters over %d" % (monomial.n, params.n))
-    return _map_to_op(params, _monomial_map(monomial, params))
+    return _monomial_map(monomial, params).to_op()
 
 
 def evaluate(nf: NormalForm, params: TruncationParams) -> SparseOp:
@@ -562,7 +550,7 @@ def evaluate(nf: NormalForm, params: TruncationParams) -> SparseOp:
         if monomial.n != params.n:
             raise ValueError("monomial over %d letters, parameters over %d"
                              % (monomial.n, params.n))
-        for col, row in enumerate(_monomial_map(monomial, params)):
+        for col, row in enumerate(_monomial_map(monomial, params).image):
             if row < 0:
                 continue
             acc = out.get((row, col), _ZERO) + coeff
@@ -583,10 +571,4 @@ def evaluate_word(word: Iterable[GeneratorSymbol], params: TruncationParams) -> 
     """
     word = tuple(word)
     _validate_indices(word, params.n)
-    return _map_to_op(params, _compose_codes(tuple(_code(s) for s in word), params))
-
-
-def word_column_map(word: Iterable[GeneratorSymbol], params: TruncationParams) -> Tuple[int, ...]:
-    word = tuple(word)
-    _validate_indices(word, params.n)
-    return _compose_codes(tuple(_code(s) for s in word), params)
+    return _compose_codes(tuple(_code(s) for s in word), params).to_op()

@@ -19,18 +19,12 @@ def test_circle_phase_arithmetic():
 
 
 def test_phase_matrix_product_and_adjoint():
-    a = PhaseMatrix(2, 4, {(0, 1): 1})
-    b = PhaseMatrix(2, 4, {(1, 0): 2})
-    assert (a @ b).entries == {(0, 0): 3}
-    assert a.adjoint().entries == {(1, 0): 3}
-    assert (a.adjoint() @ a).entries == {(1, 1): 0}
-
-
-def test_phase_matrix_collision_raises():
-    a = PhaseMatrix(2, 4, {(0, 0): 0, (0, 1): 0})
-    b = PhaseMatrix(2, 4, {(0, 0): 0, (1, 0): 0})
-    with pytest.raises(ArithmeticError):
-        a @ b
+    # entries (0, 1) -> w^1 and (1, 0) -> w^2, stored by column
+    a = PhaseMatrix([-1, 0], 4, [0, 1])
+    b = PhaseMatrix([1, -1], 4, [2, 0])
+    assert (a @ b).image == (0, -1) and (a @ b).phase == (3, 0)
+    assert a.adjoint().image == (1, -1) and a.adjoint().phase == (3, 0)
+    assert a.adjoint() @ a == PhaseMatrix([-1, 1], 4)
 
 
 def test_bundle_dimensions():
@@ -45,8 +39,9 @@ def test_bundle_dimensions():
 def test_vacuum_generator_entries():
     rep = build_bundle(TruncationParams(2, 3), 4)
     beta0 = bundle_operator(rep, 0)
-    assert sorted(beta0.entries.items()) == [
-        ((0, 0), 0), ((10, 10), 1), ((20, 20), 2), ((30, 30), 3)]
+    live = [(col, row, e) for col, (row, e) in enumerate(zip(beta0.image, beta0.phase))
+            if row >= 0]
+    assert live == [(0, 0, 0), (10, 10, 1), (20, 20, 2), (30, 30, 3)]
 
 
 def test_gauge_unitary_is_unitary_and_variants_differ():
@@ -67,9 +62,11 @@ def test_paper_unitary_scales_by_degree_and_shifts_vacua():
     degrees = basis_degrees(params)
     two = degrees.index(2)
     # degree-2 vector stays in its block, scaled by conj(w)^2
-    assert u.entries[(rep.position(1, two), rep.position(1, two))] == (-2) % 4
+    assert u.image[rep.position(1, two)] == rep.position(1, two)
+    assert u.phase[rep.position(1, two)] == (-2) % 4
     # vacuum moves to the conj(w) block with no phase
-    assert u.entries[(rep.position(0, 0), rep.position(1, 0))] == 0
+    assert u.image[rep.position(1, 0)] == rep.position(0, 0)
+    assert u.phase[rep.position(1, 0)] == 0
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -1,18 +1,20 @@
 """Parsing, rewriting, the projection order, and the matrix oracle."""
 
 from fractions import Fraction
+from itertools import product as cartesian
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wmfock.fock import TruncationParams, basis_index, indices_up_to
+from wmfock.fock import (TruncationParams, annihilator, basis_index, column_map,
+                         creator, indices_up_to)
 from wmfock.sparse import SparseOp
 from wmfock.words import (GeneratorIndexError, GeneratorSymbol, NormalForm,
                           NormalMonomial, ProductResult, WordSyntaxError,
                           creation_guard, evaluate, evaluate_monomial,
                           evaluate_word, parse_word, precedes, precedes_pivot,
                           projection_product, rewrite, rewrite_whole_word,
-                          word_text)
+                          word_text, _code, _compose_codes)
 
 
 # ---------------------------------------------------------------------------
@@ -344,3 +346,52 @@ def test_evaluate_dimension_mismatch():
     params = TruncationParams(2, 3)
     with pytest.raises(ValueError):
         evaluate(NormalForm.of(NormalMonomial.identity(3)), params)
+
+
+# ---------------------------------------------------------------------------
+# word composition against independent products
+# ---------------------------------------------------------------------------
+
+
+def compose_codes_oracle(codes, params):
+    """Reference: walk each column through the generator maps, right to left."""
+    maps = [column_map(params, code >> 1, bool(code & 1) and (code >> 1) > 0).image
+            for code in codes]
+    out = []
+    for col in range(params.basis_size):
+        row = col
+        for cmap in reversed(maps):
+            row = cmap[row]
+            if row < 0:
+                break
+        out.append(row)
+    return tuple(out)
+
+
+def _generator_matrix(params, sym):
+    return creator(params, sym.index) if sym.starred else annihilator(params, sym.index)
+
+
+def test_evaluate_word_matches_generator_products_exhaustive():
+    params = TruncationParams(2, 5)
+    letters = [GeneratorSymbol(0)] + [GeneratorSymbol(i, s) for i in (1, 2)
+                                      for s in (False, True)]
+    for length in range(1, 5):
+        for word in cartesian(letters, repeat=length):
+            product = _generator_matrix(params, word[0])
+            for sym in word[1:]:
+                product = product @ _generator_matrix(params, sym)
+            assert evaluate_word(word, params) == product, word_text(word)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 3).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(_symbols_strategy(n), min_size=0, max_size=12))))
+def test_compose_codes_matches_column_walk(case):
+    n, symbols = case
+    params = TruncationParams(n, 5)
+    codes = tuple(_code(sym) for sym in symbols)
+    composed = _compose_codes(codes, params)
+    assert composed.order == 1
+    assert composed.image == compose_codes_oracle(codes, params)
+    assert not any(composed.phase)
