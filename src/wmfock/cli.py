@@ -158,6 +158,12 @@ def _cmd_expect(args) -> int:
     symbolic = rewrite(word, args.n).diagonal_part()
     print("expectation: %s" % symbolic.render())
     guard = creation_guard(word)
+    if guard > args.max_degree:
+        # the guard band is empty: a pass here would compare no column
+        print("error: nothing checked: guard %d exceeds --max-degree %d; "
+              "use --max-degree %d or more" % (guard, args.max_degree, guard),
+              file=sys.stderr)
+        return 2
     cutoff = params.degree_prefix(args.max_degree - guard)
     matrix_side = {p: v for p, v in
                    masa.expectation(evaluate_word(word, params)).diag.items()

@@ -134,16 +134,18 @@ def gauge_unitary(rep: BundleRep, w: int, variant: str) -> GaugeUnitary:
         raise ValueError("variant must be one of %s" % (_VARIANTS,))
     K = rep.roots
     w = w % K
-    degrees = basis_degrees(rep.params)
+    size = rep.block_size
     image: List[int] = []
-    phase: List[int] = []
     for s in range(K):
-        shifted = (s - w) % K
-        for b, d in enumerate(degrees):
-            # the vacuum (d = 0) moves block in both variants
-            moved = variant == BLOCK_SHIFT_UNITARY or d == 0
-            image.append(rep.position(shifted if moved else s, b))
-            phase.append(-w * d)
+        shifted = (s - w) % K * size
+        if variant == BLOCK_SHIFT_UNITARY:
+            image.extend(range(shifted, shifted + size))
+        else:
+            # only the vacuum (position 0, the one state of degree 0) moves block
+            image.append(shifted)
+            image.extend(range(s * size + 1, (s + 1) * size))
+    # every block scales by conj(w)**degree alike
+    phase = [-w * d for d in basis_degrees(rep.params)] * K
     matrix = PhaseMatrix(image, K, phase)
     if matrix @ matrix.adjoint() != PhaseMatrix.identity(rep.dim, K):
         raise AssertionError("gauge unitary failed the exact unitarity check")

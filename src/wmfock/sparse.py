@@ -5,7 +5,9 @@
   most one basis vector, with weight 1 or a root of unity.  They are stored
   by column: ``image[c]`` is the row of column ``c``'s one entry (-1 for a
   zero column) and ``phase[c]`` its exponent modulo ``order``.  A 0/1 Fock
-  map is the case ``order = 1``.
+  map is the case ``order = 1``; its diagonal is read from the arrays
+  (:meth:`PhaseMatrix.fixed_columns`), without converting it to a
+  :class:`SparseOp`.
 * :class:`SparseOp`, for linear combinations (sums of words, evaluated
   normal forms, diagonals): a map from ``(row, col)`` to a nonzero
   :class:`~fractions.Fraction`.  Its scalars are real, so its adjoint is
@@ -266,6 +268,16 @@ class PhaseMatrix:
                 out.append((other_row, col, None, want))
         out.sort(key=lambda m: (m[0], m[1]))
         return out
+
+    def fixed_columns(self, limit: int) -> List[int]:
+        """Columns ``c < limit`` whose one entry is diagonal (``image[c] == c``),
+        ascending; phases are not read.
+
+        For an order-1 map these are the positions of the 1s on the
+        diagonal, found without building the matrix.
+        """
+        image = self.image
+        return [c for c in range(min(limit, len(image))) if image[c] == c]
 
     def to_op(self) -> SparseOp:
         """The 0/1 matrix of an order-1 map."""

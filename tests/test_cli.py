@@ -113,6 +113,19 @@ def test_expect_command():
     assert "pass" in result.stdout.splitlines()[1]
 
 
+def test_expect_refuses_an_empty_guard_band():
+    # guard 2 > max degree 1: no column lies in the band, so nothing is checked
+    result = run_cli("expect", "--n", "2", "--max-degree", "1", "a1 a1 a1* a1*")
+    assert result.returncode == 2
+    assert result.stdout.splitlines() == [
+        "expectation: 1/1 · P0 + 1/1 · a*(1,0) P0 a(1,0) + 1/1 · a*(2,0) a(2,0)"]
+    assert "nothing checked" in result.stderr
+    assert "--max-degree 2" in result.stderr
+    smallest = run_cli("expect", "--n", "2", "--max-degree", "2", "a1 a1 a1* a1*")
+    assert smallest.returncode == 0
+    assert smallest.stdout.splitlines()[1] == "matrix-oracle (guard 2, 1 columns): pass"
+
+
 def test_jobs_flag_produces_identical_report():
     sequential = run_cli("verify", "--n", "2", "--max-degree", "4", "--suite", "all")
     parallel = run_cli("verify", "--n", "2", "--max-degree", "4", "--suite", "all",

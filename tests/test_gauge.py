@@ -69,6 +69,34 @@ def test_paper_unitary_scales_by_degree_and_shifts_vacua():
     assert u.phase[rep.position(1, 0)] == 0
 
 
+def gauge_unitary_oracle(rep, w, variant):
+    """Reference: the element-by-element construction that the per-block one
+    replaced; returns the unitary's matrix."""
+    K = rep.roots
+    w = w % K
+    degrees = basis_degrees(rep.params)
+    image = []
+    phase = []
+    for s in range(K):
+        shifted = (s - w) % K
+        for b, d in enumerate(degrees):
+            # the vacuum (d = 0) moves block in both variants
+            moved = variant == BLOCK_SHIFT_UNITARY or d == 0
+            image.append(rep.position(shifted if moved else s, b))
+            phase.append(-w * d)
+    return PhaseMatrix(image, K, phase)
+
+
+@pytest.mark.parametrize("n,max_degree,roots", [(2, 3, 1), (3, 4, 4), (4, 6, 8)])
+def test_gauge_unitary_matches_element_oracle(n, max_degree, roots):
+    rep = build_bundle(TruncationParams(n, max_degree), roots)
+    for variant in (PAPER_UNITARY, BLOCK_SHIFT_UNITARY):
+        for w in range(-roots, 2 * roots):
+            unitary = gauge_unitary(rep, w, variant)
+            assert unitary.matrix == gauge_unitary_oracle(rep, w, variant), (variant, w)
+            assert unitary.phase == CirclePhase(roots, w)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("max_degree", [1, 2, 3, 4])
 @pytest.mark.parametrize("roots", [1, 2, 4, 8])

@@ -153,6 +153,24 @@ def test_kernel_matches_dict_reference(triple):
         assert a.adjoint().to_op() == a.to_op().transpose()
 
 
+@st.composite
+def partial_maps_with_limit(draw):
+    """A random order-1 partial map (rows may repeat) and a column limit."""
+    dim = draw(st.integers(0, 12))
+    image = draw(st.lists(st.integers(-1, dim - 1), min_size=dim, max_size=dim))
+    return PhaseMatrix(image), draw(st.integers(-1, dim + 2))
+
+
+@settings(max_examples=400, deadline=None)
+@given(partial_maps_with_limit())
+def test_fixed_columns_is_the_restricted_diagonal(pair):
+    matrix, limit = pair
+    fixed = matrix.fixed_columns(limit)
+    assert fixed == sorted(fixed)
+    want = {p: v for p, v in matrix.to_op().diagonal().items() if p < limit}
+    assert dict.fromkeys(fixed, Fraction(1)) == want
+
+
 def test_phase_matrix_order_one_ignores_phases():
     a = PhaseMatrix([1, 2, -1], 1, [5, 6, 7])
     assert a.phase == (0, 0, 0)

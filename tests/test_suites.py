@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from wmfock.fock import TruncationParams, indices_up_to
 from wmfock.suites import (SUITE_NAMES, ck_suite, gauge_suite, masa_suite,
-                           projections_suite, relations_suite, run_all,
-                           run_suite, spectrum_suite, total_failures)
+                           monomial_products, projections_suite,
+                           relations_suite, run_all, run_suite,
+                           spectrum_suite, total_failures)
+from wmfock.words import NormalMonomial, _compose_codes, evaluate_word
 
 HALF = Fraction(1, 2)
 
@@ -93,6 +96,18 @@ def test_masa_suite_counts():
                        if c["name"] == "expectation-of-random-words")
     assert words_check["cases"] == 40
     assert total_failures(report) == 0
+
+
+@pytest.mark.parametrize("n,max_degree", [(2, 5), (3, 4)])
+def test_block_products_match_word_products(n, max_degree):
+    params = TruncationParams(n, max_degree)
+    indices = indices_up_to(n, max_degree)
+    pairs = list(monomial_products(params, indices))
+    assert [m for m, _ in pairs] == [NormalMonomial(nu, flag, mu) for nu in indices
+                                     for mu in indices for flag in (False, True)]
+    for monomial, product in pairs:
+        assert product == _compose_codes(monomial.codes(), params), monomial
+        assert product.to_op() == evaluate_word(monomial.word(), params), monomial
 
 
 def test_projections_suite_records_declared_range():
