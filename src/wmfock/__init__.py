@@ -8,8 +8,7 @@ rule validated against a brute-force matrix oracle, all arithmetic exact.
 """
 
 from .fock import (CheckResult, GuardedIdentity, MultiIndex, TruncationParams,
-                   annihilator, check_guarded_identity, creator,
-                   enumerate_basis, vacuum_projection)
+                   check_guarded_identity, enumerate_basis)
 from .gauge import (BLOCK_SHIFT_UNITARY, PAPER_UNITARY, BundleRep, CirclePhase,
                     build_bundle, check_covariance, check_quotient_relation,
                     gauge_unitary, vacuum_operator_spectrum)
@@ -31,13 +30,11 @@ __all__ = [
     "GuardedIdentity", "MultiIndex", "NormalForm", "NormalMonomial",
     "PAPER_UNITARY", "PhaseMatrix", "ProductResult", "SparseOp",
     "SpectrumConfig", "SpectrumPoint", "TruncationParams", "Word",
-    "annihilator", "build_bundle", "check_covariance",
-    "check_guarded_identity", "check_quotient_relation", "creation_guard",
-    "creator", "embed", "emit_csv", "emit_svg", "enumerate_basis",
-    "enumerate_spectrum", "evaluate", "evaluate_word", "expectation",
-    "expectation_of_monomial", "frac_str", "functional_apply",
-    "gauge_unitary", "parse_word", "precedes", "precedes_pivot",
-    "projection_product", "r_value", "rank_one_projection", "rewrite",
-    "vacuum_operator_spectrum", "vacuum_projection",
-    "verify_multiplicativity",
+    "build_bundle", "check_covariance", "check_guarded_identity",
+    "check_quotient_relation", "creation_guard", "embed", "emit_csv",
+    "emit_svg", "enumerate_basis", "enumerate_spectrum", "evaluate",
+    "evaluate_word", "expectation", "expectation_of_monomial", "frac_str",
+    "functional_apply", "gauge_unitary", "parse_word", "precedes",
+    "precedes_pivot", "projection_product", "r_value", "rank_one_projection",
+    "rewrite", "vacuum_operator_spectrum", "verify_multiplicativity",
 ]

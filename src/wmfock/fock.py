@@ -143,22 +143,6 @@ def column_map(params: TruncationParams, index: int, starred: bool) -> PhaseMatr
     return PhaseMatrix(out)
 
 
-@lru_cache(maxsize=None)
-def annihilator(params: TruncationParams, index: int) -> SparseOp:
-    """Matrix of A_i for i >= 1; for i = 0 the rank-one vacuum projection."""
-    return column_map(params, index, False).to_op()
-
-
-@lru_cache(maxsize=None)
-def creator(params: TruncationParams, index: int) -> SparseOp:
-    """Matrix of the creator with test letter ``e_index`` (1-based)."""
-    return column_map(params, index, True).to_op()
-
-
-def vacuum_projection(params: TruncationParams) -> SparseOp:
-    return annihilator(params, 0)
-
-
 @dataclass(frozen=True, eq=False)
 class GuardedIdentity:
     """A claimed operator identity together with its truncation guard.

@@ -21,9 +21,9 @@ are reported entry by entry rather than repaired silently.
 Every operator here is a :class:`~wmfock.sparse.PhaseMatrix`, the one
 column-stored kernel for monomial operators: each column holds at most one
 entry, a K-th root of unity kept as its exponent.  Products, adjoints and
-comparisons are exact integer arithmetic on those exponents; linear
-combinations, which this module never forms, are
-:class:`~wmfock.sparse.SparseOp`'s job.
+comparisons are exact integer arithmetic on those exponents.  This module
+forms no linear combinations; those exist only for order-1 maps, built by
+:meth:`~wmfock.sparse.SparseOp.from_terms`.
 """
 
 from __future__ import annotations

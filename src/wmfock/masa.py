@@ -17,13 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict
+from typing import Dict, Union
 
 from .fock import MultiIndex, TruncationParams, basis_index, bottom_letter
-from .sparse import SparseOp
+from .sparse import PhaseMatrix, SparseOp
 from .words import NormalForm, NormalMonomial
-
-_ONE = Fraction(1)
 
 
 @dataclass
@@ -47,11 +45,12 @@ class DiagonalOp:
         return self.dim == other.dim and self.diag == other.diag
 
 
-def expectation(op: SparseOp) -> DiagonalOp:
+def expectation(op: Union[SparseOp, PhaseMatrix]) -> DiagonalOp:
     """Conditional expectation onto the diagonal subalgebra.
 
-    Keeps exactly the diagonal matrix entries; idempotent, unital, linear,
-    and positive (diagonal entries of T*T are sums of squares).
+    Keeps exactly the diagonal matrix entries of a combination or of a
+    word's order-1 map; idempotent, unital, linear, and positive (diagonal
+    entries of T*T are sums of squares).
     """
     return DiagonalOp(op.dim, op.diagonal())
 
@@ -65,10 +64,6 @@ def expectation_of_monomial(monomial: NormalMonomial) -> NormalForm:
     if monomial.is_diagonal:
         return NormalForm.of(monomial)
     return NormalForm.zero()
-
-
-def expectation_of_form(nf: NormalForm) -> NormalForm:
-    return nf.diagonal_part()
 
 
 def rank_one_projection(mu: MultiIndex, n: int) -> NormalForm:
@@ -94,14 +89,14 @@ def rank_one_projection(mu: MultiIndex, n: int) -> NormalForm:
     if not any(mu):
         return NormalForm.of(NormalMonomial.vacuum_projection(n))
     pivot = bottom_letter(mu)
-    terms: Dict[NormalMonomial, Fraction] = {NormalMonomial.projection(mu): _ONE}
+    terms: Dict[NormalMonomial, int] = {NormalMonomial.projection(mu): 1}
     for h in range(1, pivot + 1):
         bumped = mu[: h - 1] + (mu[h - 1] + 1,) + mu[h:]
-        terms[NormalMonomial.projection(bumped)] = -_ONE
+        terms[NormalMonomial.projection(bumped)] = -1
     return NormalForm(terms)
 
 
 def matrix_rank_one(mu: MultiIndex, params: TruncationParams) -> SparseOp:
     """The expected matrix: a single 1 at the basis position of ``mu``."""
     pos = basis_index(params)[tuple(mu)]
-    return SparseOp(params.basis_size, {(pos, pos): _ONE})
+    return SparseOp(params.basis_size, {(pos, pos): 1})

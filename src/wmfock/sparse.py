@@ -5,13 +5,14 @@
   most one basis vector, with weight 1 or a root of unity.  They are stored
   by column: ``image[c]`` is the row of column ``c``'s one entry (-1 for a
   zero column) and ``phase[c]`` its exponent modulo ``order``.  A 0/1 Fock
-  map is the case ``order = 1``; its diagonal is read from the arrays
-  (:meth:`PhaseMatrix.fixed_columns`), without converting it to a
-  :class:`SparseOp`.
-* :class:`SparseOp`, for linear combinations (sums of words, evaluated
-  normal forms, diagonals): a map from ``(row, col)`` to a nonzero
-  :class:`~fractions.Fraction`.  Its scalars are real, so its adjoint is
-  the transpose.
+  map is the case ``order = 1``; a word is one, and products, comparisons
+  and diagonals of words are read from its arrays.
+* :class:`SparseOp`, for integer or rational linear combinations (sums of
+  words, evaluated normal forms, diagonals): a map from ``(row, col)`` to a
+  nonzero rational.  Combinations of 0/1 maps are built by
+  :meth:`SparseOp.from_terms`.  Its scalars are real, so its adjoint is the
+  transpose.  Its product is the dictionary reference the kernel's
+  products are tested against.
 
 Everything is exact: equal operators have equal arrays or entry maps, so
 verdicts need no tolerances.
@@ -21,12 +22,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import itemgetter
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 Coord = Tuple[int, int]
-Scalar = Fraction
-
-_ONE = Fraction(1)
+Scalar = Union[int, Fraction]
 
 
 def _frac(value) -> Fraction:
@@ -46,7 +45,7 @@ class SparseOp:
 
     def __init__(self, dim: int, entries: Optional[Mapping[Coord, Scalar]] = None):
         self.dim = dim
-        self.entries: Dict[Coord, Fraction] = {}
+        self.entries: Dict[Coord, Scalar] = {}
         if entries:
             for (r, c), val in entries.items():
                 if not (0 <= r < dim and 0 <= c < dim):
@@ -56,8 +55,32 @@ class SparseOp:
                     self.entries[r, c] = val
 
     @classmethod
-    def zero(cls, dim: int) -> "SparseOp":
-        return cls(dim)
+    def from_terms(cls, dim: int, terms: Iterable[Tuple[Scalar, "PhaseMatrix"]],
+                   limit: Optional[int] = None) -> "SparseOp":
+        """The combination ``sum(coeff * map)`` of order-1 maps, keeping only
+        the columns ``c < limit`` when a limit is given.
+
+        Coefficients are kept as given, integer or rational; entries that
+        cancel are dropped.
+        """
+        out: Dict[Coord, Scalar] = {}
+        for coeff, matrix in terms:
+            if matrix.order != 1:
+                raise ValueError("only an order-1 map has rational entries")
+            if len(matrix.image) != dim:
+                raise ValueError("dimension mismatch: %d vs %d" % (len(matrix.image), dim))
+            image = matrix.image if limit is None else matrix.image[:max(limit, 0)]
+            for col, row in enumerate(image):
+                if row < 0:
+                    continue
+                acc = out.get((row, col), 0) + coeff
+                if acc:
+                    out[row, col] = acc
+                else:
+                    del out[row, col]
+        op = cls(dim)
+        op.entries = out
+        return op
 
     @classmethod
     def identity(cls, dim: int) -> "SparseOp":
@@ -75,47 +98,16 @@ class SparseOp:
     def nnz(self) -> int:
         return len(self.entries)
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def _require_same_dim(self, other: "SparseOp") -> None:
         if self.dim != other.dim:
             raise ValueError("dimension mismatch: %d vs %d" % (self.dim, other.dim))
-
-    def __add__(self, other: "SparseOp") -> "SparseOp":
-        self._require_same_dim(other)
-        out = dict(self.entries)
-        for coord, val in other.entries.items():
-            acc = out.get(coord, Fraction(0)) + val
-            if acc:
-                out[coord] = acc
-            else:
-                out.pop(coord, None)
-        result = SparseOp(self.dim)
-        result.entries = out
-        return result
-
-    def __neg__(self) -> "SparseOp":
-        result = SparseOp(self.dim)
-        result.entries = {coord: -val for coord, val in self.entries.items()}
-        return result
-
-    def __sub__(self, other: "SparseOp") -> "SparseOp":
-        return self + (-other)
-
-    def __rmul__(self, scalar) -> "SparseOp":
-        scalar = _frac(scalar)
-        result = SparseOp(self.dim)
-        if scalar:
-            result.entries = {coord: scalar * val for coord, val in self.entries.items()}
-        return result
 
     def __matmul__(self, other: "SparseOp") -> "SparseOp":
         self._require_same_dim(other)
         by_col: Dict[int, list] = {}
         for (r, c), val in self.entries.items():
             by_col.setdefault(c, []).append((r, val))
-        out: Dict[Coord, Fraction] = {}
+        out: Dict[Coord, Scalar] = {}
         for (k, c), bval in other.entries.items():
             for r, aval in by_col.get(k, ()):
                 coord = (r, c)
@@ -136,14 +128,16 @@ class SparseOp:
     # all core scalars are real rationals, so the adjoint is the transpose
     adjoint = transpose
 
-    def columns(self) -> Dict[int, Dict[int, Fraction]]:
-        out: Dict[int, Dict[int, Fraction]] = {}
+    def columns(self) -> Dict[int, Dict[int, Scalar]]:
+        out: Dict[int, Dict[int, Scalar]] = {}
         for (r, c), val in self.entries.items():
             out.setdefault(c, {})[r] = val
         return out
 
-    def diagonal(self) -> Dict[int, Fraction]:
-        return {r: val for (r, c), val in self.entries.items() if r == c}
+    def diagonal(self, limit: Optional[int] = None) -> Dict[int, Scalar]:
+        """Diagonal entries by position, only ``c < limit`` when a limit is given."""
+        return {r: val for (r, c), val in self.entries.items()
+                if r == c and (limit is None or c < limit)}
 
     def restrict_columns(self, ncols: int) -> "SparseOp":
         """Drop every entry whose column is ``>= ncols`` (guard-band filter)."""
@@ -269,20 +263,22 @@ class PhaseMatrix:
         out.sort(key=lambda m: (m[0], m[1]))
         return out
 
-    def fixed_columns(self, limit: int) -> List[int]:
-        """Columns ``c < limit`` whose one entry is diagonal (``image[c] == c``),
-        ascending; phases are not read.
+    def is_zero(self) -> bool:
+        return max(self.image, default=-1) < 0
 
-        For an order-1 map these are the positions of the 1s on the
-        diagonal, found without building the matrix.
+    def diagonal(self, limit: Optional[int] = None) -> Dict[int, int]:
+        """``{c: 1}`` for the columns ``c < limit`` (all columns when no limit
+        is given) whose one entry is diagonal, ascending; order 1 only.
+
+        These are the positions of the 1s on the diagonal of a 0/1 map,
+        found without building the matrix.
         """
+        if self.order != 1:
+            raise ValueError("only an order-1 map has a rational diagonal")
         image = self.image
-        return [c for c in range(min(limit, len(image))) if image[c] == c]
+        stop = len(image) if limit is None else min(limit, len(image))
+        return {c: 1 for c in range(stop) if image[c] == c}
 
     def to_op(self) -> SparseOp:
         """The 0/1 matrix of an order-1 map."""
-        if self.order != 1:
-            raise ValueError("only an order-1 map has rational entries")
-        op = SparseOp(len(self.image))
-        op.entries = {(row, col): _ONE for col, row in enumerate(self.image) if row >= 0}
-        return op
+        return SparseOp.from_terms(len(self.image), [(1, self)])

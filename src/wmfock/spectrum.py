@@ -15,8 +15,9 @@ by integer arithmetic, so emitted files are byte-deterministic.  Since
 ``r_k <= max_degree``, every coordinate takes one of at most
 ``max_degree + 2`` values for a given ``c``: 0, 1 and ``1 - c**r`` for
 r = 1..max_degree.  Each value is computed once per :func:`interior_points`
-call, and each value (CSV) or projected coordinate pair (SVG) is rendered
-once per emit call.
+or :func:`boundary_points` call, which work on integer ranks into that table
+of values, and each value (CSV) or projected coordinate pair (SVG) is
+rendered once per emit call.
 """
 
 from __future__ import annotations
@@ -113,25 +114,38 @@ def boundary_patterns(cfg: SpectrumConfig) -> List[BoundaryPattern]:
     return out
 
 
-def boundary_coords(pattern: BoundaryPattern, cfg: SpectrumConfig) -> Tuple[Fraction, ...]:
-    padded = (0,) * pattern.pivot + pattern.tail
-    coords = [Fraction(b) for b in pattern.bits]
-    coords.append(Fraction(1))
-    coords.extend(1 - cfg.c ** r_value(padded, j) for j in range(pattern.pivot + 1, cfg.n + 1))
-    return tuple(coords)
+def coordinate_values(cfg: SpectrumConfig) -> List[Fraction]:
+    """Every coordinate value, indexed by its rank: ``1 - c**r`` at rank
+    r = 0..max_degree (0 at rank 0), and 1 at rank ``max_degree + 1``.
 
-
-def interior_points(cfg: SpectrumConfig) -> List[SpectrumPoint]:
-    """The images of the indices of degree ``<= max_degree``, in graded order.
-
-    Equal to ``embed`` on every index, but each coordinate is read from a
-    table ``values[r] = 1 - c**r`` built once, so points share its Fractions.
+    The table is strictly increasing because 0 < c < 1, so tuples of ranks
+    compare, group and sort exactly as the coordinate tuples they stand for.
     """
     values = [Fraction(0)]
     power = Fraction(1)
     for _ in range(cfg.max_degree):
         power *= cfg.c
         values.append(1 - power)
+    values.append(Fraction(1))
+    return values
+
+
+def boundary_ranks(pattern: BoundaryPattern, cfg: SpectrumConfig) -> Tuple[int, ...]:
+    """Coordinate ranks of a pattern's boundary point: its bits below the
+    pivot (0 or 1), 1 at the pivot, and ``1 - c**r_j`` above it."""
+    top = cfg.max_degree + 1
+    padded = (0,) * pattern.pivot + pattern.tail
+    return (tuple(b * top for b in pattern.bits) + (top,)
+            + tuple(r_value(padded, j) for j in range(pattern.pivot + 1, cfg.n + 1)))
+
+
+def interior_points(cfg: SpectrumConfig) -> List[SpectrumPoint]:
+    """The images of the indices of degree ``<= max_degree``, in graded order.
+
+    Equal to ``embed`` on every index, but each coordinate is read from
+    :func:`coordinate_values`, built once, so points share its Fractions.
+    """
+    values = coordinate_values(cfg)
     points = []
     for mu in enumerate_basis(TruncationParams(cfg.n, cfg.max_degree)):
         coords = []
@@ -145,11 +159,14 @@ def interior_points(cfg: SpectrumConfig) -> List[SpectrumPoint]:
 
 
 def boundary_points(cfg: SpectrumConfig) -> List[SpectrumPoint]:
-    by_coords: Dict[Tuple[Fraction, ...], List[BoundaryPattern]] = {}
+    """One point per distinct limit, sorted by coordinates, with the patterns
+    that reach it in enumeration order."""
+    by_ranks: Dict[Tuple[int, ...], List[BoundaryPattern]] = {}
     for pattern in boundary_patterns(cfg):
-        by_coords.setdefault(boundary_coords(pattern, cfg), []).append(pattern)
-    return [SpectrumPoint(coords, BOUNDARY, tuple(patterns))
-            for coords, patterns in sorted(by_coords.items())]
+        by_ranks.setdefault(boundary_ranks(pattern, cfg), []).append(pattern)
+    values = coordinate_values(cfg)
+    return [SpectrumPoint(tuple(values[r] for r in ranks), BOUNDARY, tuple(patterns))
+            for ranks, patterns in sorted(by_ranks.items())]
 
 
 def enumerate_spectrum(cfg: SpectrumConfig) -> List[SpectrumPoint]:
@@ -266,8 +283,9 @@ def boundary_convergence_report(cfg: SpectrumConfig, p_limit: int = 20) -> dict:
     """
     cases = 0
     failures: List[dict] = []
+    values = coordinate_values(cfg)
     for pattern in boundary_patterns(cfg):
-        target = boundary_coords(pattern, cfg)
+        target = tuple(values[r] for r in boundary_ranks(pattern, cfg))
         k = pattern.pivot
         tail_sum = sum(pattern.tail)
         previous = None

@@ -3,7 +3,7 @@
 A word is a finite sequence of generator symbols ``a0, ..., an`` and starred
 symbols ``a1*, ..., an*`` (the leftmost symbol acts last, matching operator
 composition; ``a0`` is the vacuum projection and is its own adjoint).  Every
-word reduces to a rational-linear combination of *normal monomials*
+word reduces to an integer combination of *normal monomials*
 
     a*(nu) [P0] a(mu)
 
@@ -19,9 +19,10 @@ The reduction applies, to a fixpoint, the rule families
     R5  a0 a0 -> a0;   a_j a0 -> 0;   a0 a_j* -> 0   (j >= 1)
 
 always at the leftmost reducible position, merging duplicate terms after
-each step.  Soundness of the whole system is pinned by the matrix oracle:
-evaluating the normal form must reproduce the direct product of generator
-matrices on the truncation guard band (see :mod:`wmfock.fock`).
+each step.  Every rule has coefficient +1, so coefficients stay integers.
+Soundness of the whole system is pinned by the matrix oracle: evaluating
+the normal form must reproduce the direct product of generator matrices on
+the truncation guard band (see :mod:`wmfock.fock`).
 
 This module also hosts the combinatorial order ``nu < mu`` on projection
 indices and the induced product rule for the diagonal projections
@@ -38,16 +39,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import matmul
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .fock import MultiIndex, TruncationParams, column_map
-from .sparse import PhaseMatrix, SparseOp, frac_str
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .sparse import PhaseMatrix, Scalar, SparseOp, frac_str
 
 
 class WordSyntaxError(ValueError):
@@ -221,18 +218,17 @@ class NormalMonomial:
 
 
 class NormalForm:
-    """A finite rational-linear combination of normal monomials."""
+    """A finite linear combination of normal monomials.
+
+    Rewriting only produces integer coefficients; a rational one passed in
+    by a caller is kept as given.
+    """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Optional[Mapping[NormalMonomial, Fraction]] = None):
-        data: Dict[NormalMonomial, Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                coeff = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-                if coeff:
-                    data[mono] = coeff
-        self._terms = data
+    def __init__(self, terms: Optional[Mapping[NormalMonomial, Scalar]] = None):
+        self._terms: Dict[NormalMonomial, Scalar] = (
+            {mono: coeff for mono, coeff in terms.items() if coeff} if terms else {})
 
     @classmethod
     def zero(cls) -> "NormalForm":
@@ -240,16 +236,16 @@ class NormalForm:
 
     @classmethod
     def of(cls, monomial: NormalMonomial, coeff=1) -> "NormalForm":
-        return cls({monomial: Fraction(coeff)})
+        return cls({monomial: coeff})
 
     def items(self):
         return self._terms.items()
 
-    def terms(self) -> List[Tuple[NormalMonomial, Fraction]]:
+    def terms(self) -> List[Tuple[NormalMonomial, Scalar]]:
         return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
 
-    def coefficient(self, monomial: NormalMonomial) -> Fraction:
-        return self._terms.get(monomial, _ZERO)
+    def coefficient(self, monomial: NormalMonomial) -> Scalar:
+        return self._terms.get(monomial, 0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -265,7 +261,7 @@ class NormalForm:
     def __add__(self, other: "NormalForm") -> "NormalForm":
         out = dict(self._terms)
         for mono, coeff in other._terms.items():
-            acc = out.get(mono, _ZERO) + coeff
+            acc = out.get(mono, 0) + coeff
             if acc:
                 out[mono] = acc
             else:
@@ -278,7 +274,6 @@ class NormalForm:
         return self + other.scaled(-1)
 
     def scaled(self, coeff) -> "NormalForm":
-        coeff = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
         result = NormalForm()
         if coeff:
             result._terms = {m: coeff * c for m, c in self._terms.items()}
@@ -341,7 +336,7 @@ def _find_redex(codes: Tuple[int, ...], n: int):
     return None
 
 
-def _queue_rewrite(codes: Tuple[int, ...], n: int) -> Dict[Tuple[int, ...], Fraction]:
+def _queue_rewrite(codes: Tuple[int, ...], n: int) -> Dict[Tuple[int, ...], int]:
     """Reduce a code word to normal words, leftmost redex first.
 
     Terms with identical words are merged after every step; the map returned
@@ -349,14 +344,14 @@ def _queue_rewrite(codes: Tuple[int, ...], n: int) -> Dict[Tuple[int, ...], Frac
     lowers the number of (annihilator, creator) inversions of every produced
     term, and every other rule shortens or kills its term.
     """
-    queue: Dict[Tuple[int, ...], Fraction] = {tuple(codes): _ONE}
-    normal: Dict[Tuple[int, ...], Fraction] = {}
+    queue: Dict[Tuple[int, ...], int] = {tuple(codes): 1}
+    normal: Dict[Tuple[int, ...], int] = {}
     while queue:
         word = next(iter(queue))
         coeff = queue.pop(word)
         hit = _find_redex(word, n)
         if hit is None:
-            acc = normal.get(word, _ZERO) + coeff
+            acc = normal.get(word, 0) + coeff
             if acc:
                 normal[word] = acc
             else:
@@ -366,7 +361,7 @@ def _queue_rewrite(codes: Tuple[int, ...], n: int) -> Dict[Tuple[int, ...], Frac
         head, tail = word[:pos], word[pos + 2:]
         for rep in replacements:
             new_word = head + rep + tail
-            acc = queue.get(new_word, _ZERO) + coeff
+            acc = queue.get(new_word, 0) + coeff
             if acc:
                 queue[new_word] = acc
             else:
@@ -403,7 +398,7 @@ def _monomial_from_codes(codes: Tuple[int, ...], n: int) -> NormalMonomial:
 
 
 @lru_cache(maxsize=None)
-def _left_extend(code: int, monomial: NormalMonomial, n: int) -> Tuple[Tuple[NormalMonomial, Fraction], ...]:
+def _left_extend(code: int, monomial: NormalMonomial, n: int) -> Tuple[Tuple[NormalMonomial, int], ...]:
     """Normal form of (one symbol) · (one normal monomial)."""
     reduced = _queue_rewrite((code,) + monomial.codes(), n)
     items = [(_monomial_from_codes(w, n), c) for w, c in reduced.items()]
@@ -427,13 +422,13 @@ def rewrite(word: Iterable[GeneratorSymbol], n: int) -> NormalForm:
     """
     word = tuple(word)
     _validate_indices(word, n)
-    terms: Dict[NormalMonomial, Fraction] = {NormalMonomial.identity(n): _ONE}
+    terms: Dict[NormalMonomial, int] = {NormalMonomial.identity(n): 1}
     for sym in reversed(word):
         code = _code(sym)
-        acc: Dict[NormalMonomial, Fraction] = {}
+        acc: Dict[NormalMonomial, int] = {}
         for mono, coeff in terms.items():
             for new_mono, factor in _left_extend(code, mono, n):
-                val = acc.get(new_mono, _ZERO) + coeff * factor
+                val = acc.get(new_mono, 0) + coeff * factor
                 if val:
                     acc[new_mono] = val
                 else:
@@ -537,38 +532,25 @@ def _monomial_map(monomial: NormalMonomial, params: TruncationParams) -> PhaseMa
     return _compose_codes(monomial.codes(), params)
 
 
-def evaluate_monomial(monomial: NormalMonomial, params: TruncationParams) -> SparseOp:
-    if monomial.n != params.n:
-        raise ValueError("monomial over %d letters, parameters over %d" % (monomial.n, params.n))
-    return _monomial_map(monomial, params).to_op()
-
-
-def evaluate(nf: NormalForm, params: TruncationParams) -> SparseOp:
-    """Exact matrix of a normal form on the truncated basis."""
-    out: Dict[Tuple[int, int], Fraction] = {}
+def evaluate(nf: NormalForm, params: TruncationParams,
+             limit: Optional[int] = None) -> SparseOp:
+    """Exact matrix of a normal form on the truncated basis, only its columns
+    ``c < limit`` when a limit is given."""
+    terms = []
     for monomial, coeff in nf.items():
         if monomial.n != params.n:
             raise ValueError("monomial over %d letters, parameters over %d"
                              % (monomial.n, params.n))
-        for col, row in enumerate(_monomial_map(monomial, params).image):
-            if row < 0:
-                continue
-            acc = out.get((row, col), _ZERO) + coeff
-            if acc:
-                out[row, col] = acc
-            else:
-                del out[row, col]
-    op = SparseOp(params.basis_size)
-    op.entries = out
-    return op
+        terms.append((coeff, _monomial_map(monomial, params)))
+    return SparseOp.from_terms(params.basis_size, terms, limit)
 
 
-def evaluate_word(word: Iterable[GeneratorSymbol], params: TruncationParams) -> SparseOp:
-    """Direct product of the generator matrices of a word.
+def evaluate_word(word: Iterable[GeneratorSymbol], params: TruncationParams) -> PhaseMatrix:
+    """Direct product of the generator matrices of a word, as an order-1 map.
 
     This path never touches the rewriting engine; it is the independent
     oracle against which normal forms are checked.
     """
     word = tuple(word)
     _validate_indices(word, params.n)
-    return _compose_codes(tuple(_code(s) for s in word), params).to_op()
+    return _compose_codes(tuple(_code(s) for s in word), params)

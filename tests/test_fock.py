@@ -6,9 +6,8 @@ from math import comb
 
 import pytest
 
-from wmfock.fock import (GuardedIdentity, TruncationParams, annihilator,
-                         basis_index, check_guarded_identity, creator,
-                         enumerate_basis, vacuum_projection)
+from wmfock.fock import (GuardedIdentity, TruncationParams, basis_index,
+                         check_guarded_identity, column_map, enumerate_basis)
 from wmfock.sparse import SparseOp
 
 
@@ -62,91 +61,94 @@ def test_invalid_params_rejected():
         TruncationParams(2, 0)
 
 
-def _apply(op, params, mu):
-    col = basis_index(params)[mu]
-    return op.columns().get(col, {})
-
-
 def test_annihilator_actions():
     params = TruncationParams(2, 3)
     idx = basis_index(params)
-    a1 = annihilator(params, 1)
-    a2 = annihilator(params, 2)
+    a1 = column_map(params, 1, False).image
+    a2 = column_map(params, 2, False).image
     # a letter matching the top is stripped
-    assert _apply(a1, params, (1, 0)) == {idx[(0, 0)]: Fraction(1)}
-    assert _apply(a2, params, (1, 1)) == {idx[(1, 0)]: Fraction(1)}
+    assert a1[idx[(1, 0)]] == idx[(0, 0)]
+    assert a2[idx[(1, 1)]] == idx[(1, 0)]
     # a mismatched top letter kills the state
-    assert _apply(a1, params, (1, 1)) == {}
-    assert _apply(a1, params, (0, 0)) == {}
+    assert a1[idx[(1, 1)]] == -1
+    assert a1[idx[(0, 0)]] == -1
 
 
 def test_creator_actions():
     params = TruncationParams(2, 2)
     idx = basis_index(params)
-    c1 = creator(params, 1)
-    c2 = creator(params, 2)
+    c1 = column_map(params, 1, True).image
+    c2 = column_map(params, 2, True).image
     # creation below the current top letter is forbidden
-    assert _apply(c1, params, (0, 1)) == {}
-    assert _apply(c2, params, (1, 0)) == {idx[(1, 1)]: Fraction(1)}
+    assert c1[idx[(0, 1)]] == -1
+    assert c2[idx[(1, 0)]] == idx[(1, 1)]
     # truncation boundary: degree 3 result is dropped at D = 2
-    assert _apply(c2, params, (1, 1)) == {}
+    assert c2[idx[(1, 1)]] == -1
 
 
 def test_index_range_errors():
     params = TruncationParams(2, 2)
     with pytest.raises(ValueError):
-        annihilator(params, 3)
+        column_map(params, 3, False)
     with pytest.raises(ValueError):
-        creator(params, 0)
+        column_map(params, 0, True)
     with pytest.raises(ValueError):
-        annihilator(params, -1)
+        column_map(params, -1, False)
 
 
 def test_adjoint_is_transpose():
     params = TruncationParams(3, 4)
     for i in range(1, 4):
-        assert creator(params, i) == annihilator(params, i).transpose()
+        creator, annihilator = column_map(params, i, True), column_map(params, i, False)
+        assert creator == annihilator.adjoint()
+        assert creator.to_op() == annihilator.to_op().transpose()
 
 
 def test_generators_are_partial_permutations():
     params = TruncationParams(3, 4)
-    ops = [annihilator(params, i) for i in range(4)]
-    ops.extend(creator(params, i) for i in range(1, 4))
+    ops = [column_map(params, i, False).to_op() for i in range(4)]
+    ops.extend(column_map(params, i, True).to_op() for i in range(1, 4))
     for op in ops:
         assert all(v == Fraction(1) for v in op.entries.values())
+        rows = [r for r, _ in op.entries]
         cols = [c for _, c in op.entries]
         assert len(cols) == len(set(cols))  # at most one nonzero per column
+        assert len(rows) == len(set(rows))  # and per row
 
 
 def test_vacuum_projection_shape():
     params = TruncationParams(2, 4)
-    vac = vacuum_projection(params)
-    assert vac.entries == {(0, 0): Fraction(1)}
+    vac = column_map(params, 0, False)
+    assert vac.image == (0,) + (-1,) * (params.basis_size - 1)
+    assert vac.to_op().entries == {(0, 0): Fraction(1)}
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_guarded_identities_pass(n):
     params = TruncationParams(n, 6)
-    ident = SparseOp.identity(params.basis_size)
+    size = params.basis_size
+    ident = SparseOp.identity(size)
+    a = [column_map(params, i, False) for i in range(n + 1)]
+    c = [None] + [column_map(params, i, True) for i in range(1, n + 1)]
     # the top creator is an isometry for the annihilator side: A_n A_n^T = I
-    gi = GuardedIdentity(params, annihilator(params, n) @ creator(params, n), ident, 1)
+    gi = GuardedIdentity(params, (a[n] @ c[n]).to_op(), ident, 1)
     res = check_guarded_identity(gi)
     assert res.ok and res.columns_checked == params.degree_prefix(5)
     # support decomposition for i = 1
-    lhs = annihilator(params, 1) @ creator(params, 1)
-    rhs = vacuum_projection(params) + creator(params, 1) @ annihilator(params, 1)
+    lhs = (a[1] @ c[1]).to_op()
+    rhs = SparseOp.from_terms(size, [(1, a[0]), (1, c[1] @ a[1])])
     res = check_guarded_identity(GuardedIdentity(params, lhs, rhs, 1))
     assert res.ok
     # mixed creator pair vanishes on the whole space
-    lhs = annihilator(params, 1) @ creator(params, 2)
-    res = check_guarded_identity(GuardedIdentity(params, lhs, SparseOp.zero(params.basis_size), 1))
+    lhs = (a[1] @ c[2]).to_op()
+    res = check_guarded_identity(GuardedIdentity(params, lhs, SparseOp(size), 1))
     assert res.ok
 
 
 def test_truncation_artifact_is_flagged_not_failed():
     params = TruncationParams(2, 3)
     ident = SparseOp.identity(params.basis_size)
-    lhs = annihilator(params, 2) @ creator(params, 2)
+    lhs = (column_map(params, 2, False) @ column_map(params, 2, True)).to_op()
     res = check_guarded_identity(GuardedIdentity(params, lhs, ident, 1))
     assert res.ok
     assert res.truncation_artifact  # the cut top layer differs, by construction
@@ -155,7 +157,7 @@ def test_truncation_artifact_is_flagged_not_failed():
 def test_failure_reports_first_bad_basis_vector():
     params = TruncationParams(2, 3)
     ident = SparseOp.identity(params.basis_size)
-    zero = SparseOp.zero(params.basis_size)
+    zero = SparseOp(params.basis_size)
     res = check_guarded_identity(GuardedIdentity(params, ident, zero, 0))
     assert not res.ok
     assert res.first_failure["basis_position"] == 0
@@ -165,6 +167,6 @@ def test_failure_reports_first_bad_basis_vector():
 def test_guarded_identity_validation():
     params = TruncationParams(2, 3)
     with pytest.raises(ValueError):
-        GuardedIdentity(params, SparseOp.zero(4), SparseOp.zero(5), 0)
+        GuardedIdentity(params, SparseOp(4), SparseOp(5), 0)
     with pytest.raises(ValueError):
-        GuardedIdentity(params, SparseOp.zero(10), SparseOp.zero(10), 7)
+        GuardedIdentity(params, SparseOp(10), SparseOp(10), 7)

@@ -5,9 +5,8 @@ from fractions import Fraction
 import pytest
 
 from wmfock.fock import TruncationParams, basis_index
-from wmfock.masa import (DiagonalOp, expectation, expectation_of_form,
-                         expectation_of_monomial, matrix_rank_one,
-                         rank_one_projection)
+from wmfock.masa import (DiagonalOp, expectation, expectation_of_monomial,
+                         matrix_rank_one, rank_one_projection)
 from wmfock.sparse import SparseOp
 from wmfock.suites import indices_up_to, sample_words
 from wmfock.words import (NormalForm, NormalMonomial, creation_guard, evaluate,
@@ -70,7 +69,7 @@ def test_symbolic_expectation_matches_matrix_on_words():
         cutoff = params.degree_prefix(params.max_degree - guard)
         direct = {p: v for p, v in
                   expectation(evaluate_word(word, params)).diag.items() if p < cutoff}
-        symbolic = evaluate(expectation_of_form(rewrite(word, 2)), params)
+        symbolic = evaluate(rewrite(word, 2).diagonal_part(), params)
         assert direct == {p: v for p, v in symbolic.diagonal().items() if p < cutoff}
 
 
@@ -119,9 +118,8 @@ def test_all_slots_subtraction_is_not_a_projection():
 def test_diagonal_completeness():
     params = TruncationParams(2, 5)
     for d in range(params.max_degree):
-        total = SparseOp.zero(params.basis_size)
-        for mu in indices_up_to(2, d):
-            total = total + evaluate(rank_one_projection(mu, 2), params)
+        total = evaluate(sum((rank_one_projection(mu, 2) for mu in indices_up_to(2, d)),
+                             NormalForm.zero()), params)
         cutoff = params.degree_prefix(d)
         assert total == SparseOp(params.basis_size,
                                  {(p, p): Fraction(1) for p in range(cutoff)})

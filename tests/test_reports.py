@@ -1,0 +1,45 @@
+"""Whole reports pinned byte for byte, and failure payloads that stay readable.
+
+The digests are SHA-256 sums of the JSON the CLI writes.  A change meant to
+leave every verdict alone must leave these bytes alone; a change that moves
+a report on purpose records the new digests here and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from wmfock import cli
+from wmfock.fock import TruncationParams
+from wmfock.suites import _guarded_word_check, _symbols
+
+GOLDEN = {
+    ("verify", "--suite", "all", "--jobs", "1", "--n", "2", "--max-degree", "4"):
+        "b4854cc84d169391b0b3d423d67016af5bb4a13b5c92dd4637679a120b9b1eb1",
+    ("verify", "--suite", "all", "--jobs", "1", "--n", "3", "--max-degree", "5"):
+        "551d8d6cbec0d8a1f396b98653da5c6c115bcbf4494f2e7a3582974f2124de04",
+    ("gauge", "--n", "2", "--max-degree", "3", "--roots", "4"):
+        "ccd5991c8be2775033d98106095183aca1b3b8d536bfdb41bb95781d14946ff0",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN))
+def test_report_digest(argv, tmp_path):
+    out = tmp_path / "report.json"
+    assert cli.main(list(argv) + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[argv]
+
+
+def test_false_identity_payload_renders_rationals():
+    params = TruncationParams(2, 4)
+    a1_a1star = _symbols((1, False), (1, True))
+    # a1 a1* fixes the vacuum, so neither side below is the zero operator
+    check = _guarded_word_check(params, "false-identity", [(1, a1_a1star)], [])
+    assert check["failures"] == 1
+    failure = check["firstFailure"]
+    assert failure["basis_position"] == 0
+    assert failure["lhs_column"] == [[0, "1/1"]]
+    assert failure["rhs_column"] == []
+    check = _guarded_word_check(params, "false-identity", [], [(-1, a1_a1star)])
+    assert check["firstFailure"]["lhs_column"] == []
+    assert check["firstFailure"]["rhs_column"] == [[0, "-1/1"]]

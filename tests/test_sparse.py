@@ -20,9 +20,26 @@ def test_out_of_range_entry_rejected():
 
 
 def test_addition_cancels_exactly():
-    a = SparseOp(2, {(0, 1): Fraction(1, 3)})
-    b = SparseOp(2, {(0, 1): Fraction(-1, 3), (1, 0): 2})
-    assert (a + b).entries == {(1, 0): Fraction(2)}
+    a = PhaseMatrix([-1, 0])  # the one entry (0, 1)
+    b = PhaseMatrix([1, 0])   # the entries (1, 0) and (0, 1)
+    op = SparseOp.from_terms(2, [(Fraction(1, 3), a), (Fraction(-1, 3), b), (2, b)])
+    assert op.entries == {(0, 1): Fraction(2), (1, 0): Fraction(5, 3)}
+    assert SparseOp.from_terms(2, [(1, a), (1, b), (-1, a), (-1, b)]).entries == {}
+    assert SparseOp.from_terms(2, []) == SparseOp(2)
+
+
+def test_from_terms_limit_is_the_guard_band_filter():
+    terms = [(1, PhaseMatrix([1, 2, 0])), (-2, PhaseMatrix([0, -1, 2]))]
+    full = SparseOp.from_terms(3, terms)
+    for limit in range(-1, 5):
+        assert SparseOp.from_terms(3, terms, limit) == full.restrict_columns(limit)
+
+
+def test_from_terms_rejects_non_rational_or_mismatched_maps():
+    with pytest.raises(ValueError):
+        SparseOp.from_terms(2, [(1, PhaseMatrix([0, 1], 2))])
+    with pytest.raises(ValueError):
+        SparseOp.from_terms(3, [(1, PhaseMatrix([0, 1]))])
 
 
 def test_matmul_matches_dense_arithmetic():
@@ -148,6 +165,7 @@ def test_kernel_matches_dict_reference(triple):
         assert all(e == 0 for row, e in zip(result.image, result.phase) if row < 0)
     assert a.adjoint().adjoint() == a
     assert a @ PhaseMatrix.identity(a.dim, a.order) == a
+    assert (a @ b).is_zero() == (not (ra @ rb).entries)
     if a.order == 1:
         assert (a @ b).to_op() == a.to_op() @ b.to_op()
         assert a.adjoint().to_op() == a.to_op().transpose()
@@ -163,12 +181,15 @@ def partial_maps_with_limit(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(partial_maps_with_limit())
-def test_fixed_columns_is_the_restricted_diagonal(pair):
+def test_diagonal_is_the_restricted_diagonal(pair):
     matrix, limit = pair
-    fixed = matrix.fixed_columns(limit)
-    assert fixed == sorted(fixed)
-    want = {p: v for p, v in matrix.to_op().diagonal().items() if p < limit}
-    assert dict.fromkeys(fixed, Fraction(1)) == want
+    diag = matrix.diagonal(limit)
+    assert list(diag) == sorted(diag)
+    op = matrix.to_op()
+    want = {p: v for p, v in op.diagonal().items() if p < limit}
+    assert diag == want
+    assert op.diagonal(limit) == want
+    assert matrix.diagonal() == op.diagonal()
 
 
 def test_phase_matrix_order_one_ignores_phases():
@@ -202,3 +223,5 @@ def test_phase_matrix_rejects_bad_arguments():
         PhaseMatrix([0, 1], 4).mismatches(PhaseMatrix([0, 1, 2], 4))
     with pytest.raises(ValueError):
         PhaseMatrix([0, 1], 2).to_op()
+    with pytest.raises(ValueError):
+        PhaseMatrix([0, 1], 2).diagonal()

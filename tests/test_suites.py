@@ -2,15 +2,20 @@
 
 import concurrent.futures
 from fractions import Fraction
+from functools import reduce
+from operator import matmul
 
 import pytest
 
-from wmfock.fock import TruncationParams, indices_up_to
+from wmfock import suites
+from wmfock.fock import TruncationParams, column_map, indices_up_to
+from wmfock.sparse import PhaseMatrix
 from wmfock.suites import (SUITE_NAMES, ck_suite, gauge_suite, masa_suite,
                            monomial_products, projections_suite,
                            relations_suite, run_all, run_suite,
-                           spectrum_suite, total_failures)
-from wmfock.words import NormalMonomial, _compose_codes, evaluate_word
+                           sample_words, soundness_check, spectrum_suite,
+                           total_failures)
+from wmfock.words import NormalMonomial, _compose_codes, evaluate_word, rewrite
 
 HALF = Fraction(1, 2)
 
@@ -107,7 +112,7 @@ def test_block_products_match_word_products(n, max_degree):
                                      for mu in indices for flag in (False, True)]
     for monomial, product in pairs:
         assert product == _compose_codes(monomial.codes(), params), monomial
-        assert product.to_op() == evaluate_word(monomial.word(), params), monomial
+        assert product == evaluate_word(monomial.word(), params), monomial
 
 
 def test_projections_suite_records_declared_range():
@@ -131,3 +136,28 @@ def test_gauge_suite_counts_deviations():
     assert confined["deviations"] > 0
     assert confined["failures"] == 0
     assert total_failures(report) == 0
+
+
+def test_soundness_check_catches_a_sign_error(monkeypatch):
+    # the same support with every coefficient negated: only a comparison of
+    # values, not of positions or counts, sees the difference
+    monkeypatch.setattr(suites, "rewrite", lambda word, n: rewrite(word, n).scaled(-1))
+    report = soundness_check(sample_words(2, 20, 6, seed=5), TruncationParams(2, 6))
+    assert report["failures"] > 0
+
+
+def test_rank_one_check_catches_an_off_diagonal_entry(monkeypatch):
+    # a vacuum projection that also sends e_1 to e_2 (still injective, like
+    # every word map): P0 itself, and a*(mu) P0 a(mu) with mu_1 = 0, keep
+    # their diagonal but gain an off-diagonal entry, so the matrix side is
+    # no longer a matrix unit
+    def leaky_word(word, params):
+        leaky = PhaseMatrix((0, 2) + (-1,) * (params.basis_size - 2))
+        return reduce(matmul, [leaky if sym.index == 0 else
+                               column_map(params, sym.index, sym.starred) for sym in word])
+
+    monkeypatch.setattr(suites, "evaluate_word", leaky_word)
+    report = masa_suite(2, 5, degree_cap=2, rank_cap=4, samples=0)
+    rank = next(c for c in report["checks"] if c["name"] == "rank-one-projections")
+    assert rank["failures"] > 0
+    assert rank["firstFailure"] == {"mu": [0, 0]}

@@ -2,9 +2,11 @@
 
 ``perfbench/tracer.py`` patches layer functions and methods by name.  A
 rename in ``src`` would make every traced benchmark iteration fail, so this
-test installs the tracer on small CLI runs.  It runs in a fresh interpreter
-because the tracer patches module globals and class methods for the life of
-the process.
+test installs the tracer on small CLI runs.  The CLI multiplies words on the
+kernel only, so the script then multiplies two ``SparseOp``s itself to show
+that the patched dictionary product still counts.  It runs in a fresh
+interpreter because the tracer patches module globals and class methods for
+the life of the process.
 """
 
 import json
@@ -19,6 +21,7 @@ import json, os, sys
 root = sys.argv[1]
 sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
 import wmfock.cli
+from wmfock.sparse import SparseOp
 from tracer import Tracer
 
 tracer = Tracer()
@@ -28,6 +31,7 @@ rcs = [wmfock.cli.main(argv + ["--out", os.devnull]) for argv in (
     ["verify", "--suite", "all", "--n", "2", "--max-degree", "3"],
     ["gauge", "--n", "2", "--max-degree", "2", "--roots", "2"],
 )]
+SparseOp.identity(2) @ SparseOp.identity(2)
 tracer.close_root()
 print(json.dumps({"rcs": rcs, "trace": tracer.export()}))
 """

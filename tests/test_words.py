@@ -6,15 +6,13 @@ from itertools import product as cartesian
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wmfock.fock import (TruncationParams, annihilator, basis_index, column_map,
-                         creator, indices_up_to)
+from wmfock.fock import TruncationParams, basis_index, column_map, indices_up_to
 from wmfock.sparse import SparseOp
 from wmfock.words import (GeneratorIndexError, GeneratorSymbol, NormalForm,
                           NormalMonomial, ProductResult, WordSyntaxError,
-                          creation_guard, evaluate, evaluate_monomial,
-                          evaluate_word, parse_word, precedes, precedes_pivot,
-                          projection_product, rewrite, rewrite_whole_word,
-                          word_text, _code, _compose_codes)
+                          creation_guard, evaluate, evaluate_word, parse_word,
+                          precedes, precedes_pivot, projection_product, rewrite,
+                          rewrite_whole_word, word_text, _code, _compose_codes)
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +140,10 @@ def test_soundness_against_matrix_oracle(symbols):
     params = TruncationParams(2, 8)
     guard = creation_guard(word)
     cutoff = params.degree_prefix(params.max_degree - guard)
-    direct = evaluate_word(word, params).restrict_columns(cutoff)
-    reduced = evaluate(rewrite(word, 2), params).restrict_columns(cutoff)
+    direct = evaluate_word(word, params).to_op().restrict_columns(cutoff)
+    reduced = evaluate(rewrite(word, 2), params, cutoff)
     assert direct == reduced
+    assert reduced == evaluate(rewrite(word, 2), params).restrict_columns(cutoff)
 
 
 @settings(max_examples=60, deadline=None)
@@ -323,7 +322,7 @@ def test_evaluate_identity_and_vacuum():
     params = TruncationParams(2, 4)
     assert evaluate(NormalForm.of(NormalMonomial.identity(2)), params) == \
         SparseOp.identity(params.basis_size)
-    vac = evaluate_monomial(NormalMonomial.vacuum_projection(2), params)
+    vac = evaluate(NormalForm.of(NormalMonomial.vacuum_projection(2)), params)
     assert vac.entries == {(0, 0): Fraction(1)}
 
 
@@ -331,14 +330,14 @@ def test_evaluate_rewritten_word_matches_direct_product():
     params = TruncationParams(2, 6)
     word = parse_word("a1 a1*", 2)
     cutoff = params.degree_prefix(5)
-    assert evaluate(rewrite(word, 2), params).restrict_columns(cutoff) == \
-        evaluate_word(word, params).restrict_columns(cutoff)
+    assert evaluate(rewrite(word, 2), params, cutoff) == \
+        evaluate_word(word, params).to_op().restrict_columns(cutoff)
 
 
 def test_point_projection_monomial_is_matrix_unit():
     params = TruncationParams(2, 5)
     idx = basis_index(params)[(2, 1)]
-    op = evaluate_monomial(NormalMonomial.point_projection((2, 1)), params)
+    op = evaluate(NormalForm.of(NormalMonomial.point_projection((2, 1))), params)
     assert op.entries == {(idx, idx): Fraction(1)}
 
 
@@ -369,7 +368,7 @@ def compose_codes_oracle(codes, params):
 
 
 def _generator_matrix(params, sym):
-    return creator(params, sym.index) if sym.starred else annihilator(params, sym.index)
+    return column_map(params, sym.index, sym.starred).to_op()
 
 
 def test_evaluate_word_matches_generator_products_exhaustive():
@@ -381,7 +380,7 @@ def test_evaluate_word_matches_generator_products_exhaustive():
             product = _generator_matrix(params, word[0])
             for sym in word[1:]:
                 product = product @ _generator_matrix(params, sym)
-            assert evaluate_word(word, params) == product, word_text(word)
+            assert evaluate_word(word, params).to_op() == product, word_text(word)
 
 
 @settings(max_examples=200, deadline=None)
