@@ -24,12 +24,16 @@ entry, a K-th root of unity kept as its exponent.  Products, adjoints and
 comparisons are exact integer arithmetic on those exponents.  This module
 forms no linear combinations; those exist only for order-1 maps, built by
 :meth:`~wmfock.sparse.SparseOp.from_terms`.
+
+Each gauge unitary is built, and checked unitary, once per
+``(rep, w mod K, variant)`` in a bounded cache; covariance and group-law
+checks that ask for it again get the same object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import List, Tuple
 
 from .fock import TruncationParams, basis_degrees, column_map
@@ -83,6 +87,11 @@ class BundleRep:
     def dim(self) -> int:
         return self.roots * self.block_size
 
+    @cached_property
+    def positions(self) -> Tuple[int, ...]:
+        """``0 .. dim - 1`` once per bundle, shared by its gauge unitaries."""
+        return tuple(range(self.dim))
+
     def position(self, sample: int, basis_pos: int) -> int:
         return sample * self.block_size + basis_pos
 
@@ -126,24 +135,36 @@ class GaugeUnitary:
 
 
 def gauge_unitary(rep: BundleRep, w: int, variant: str) -> GaugeUnitary:
-    """Build the gauge unitary for the root with exponent ``w``.
+    """The gauge unitary for the root with exponent ``w``.
 
-    Unitarity (U U* = I in exponent arithmetic) is verified at construction.
+    Each distinct ``(rep, w mod K, variant)`` is built once, by
+    :func:`_build_unitary`; an unknown variant raises before the cache.
     """
     if variant not in _VARIANTS:
         raise ValueError("variant must be one of %s" % (_VARIANTS,))
+    return _build_unitary(rep, w % rep.roots, variant)
+
+
+@lru_cache(maxsize=64)
+def _build_unitary(rep: BundleRep, w: int, variant: str) -> GaugeUnitary:
+    """Build the gauge unitary for ``0 <= w < K``.
+
+    Unitarity (U U* = I in exponent arithmetic) is verified at construction.
+    The image is sliced from the bundle's shared position tuple, so cached
+    unitaries hold no position ints of their own.
+    """
     K = rep.roots
-    w = w % K
     size = rep.block_size
+    positions = rep.positions
     image: List[int] = []
     for s in range(K):
         shifted = (s - w) % K * size
         if variant == BLOCK_SHIFT_UNITARY:
-            image.extend(range(shifted, shifted + size))
+            image.extend(positions[shifted:shifted + size])
         else:
             # only the vacuum (position 0, the one state of degree 0) moves block
-            image.append(shifted)
-            image.extend(range(s * size + 1, (s + 1) * size))
+            image.append(positions[shifted])
+            image.extend(positions[s * size + 1:(s + 1) * size])
     # every block scales by conj(w)**degree alike
     phase = [-w * d for d in basis_degrees(rep.params)] * K
     matrix = PhaseMatrix(image, K, phase)

@@ -249,6 +249,8 @@ class PhaseMatrix:
     def mismatches(self, other: "PhaseMatrix") -> List[Tuple[int, int, Optional[int], Optional[int]]]:
         """Sorted (row, col, got, want) for every differing entry."""
         self._require_same_shape(other)
+        if self.image == other.image and self.phase == other.phase:
+            return []  # equal operators: two tuple compares, run in C
         out = []
         for col, (row, got, other_row, want) in enumerate(
                 zip(self.image, self.phase, other.image, other.phase)):

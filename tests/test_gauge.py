@@ -2,9 +2,10 @@
 
 import pytest
 
+from wmfock import gauge
 from wmfock.fock import TruncationParams, basis_degrees
-from wmfock.gauge import (BLOCK_SHIFT_UNITARY, PAPER_UNITARY, CirclePhase,
-                          PhaseMatrix, build_bundle, bundle_operator,
+from wmfock.gauge import (BLOCK_SHIFT_UNITARY, PAPER_UNITARY, BundleRep,
+                          CirclePhase, PhaseMatrix, build_bundle, bundle_operator,
                           check_covariance, check_group_law,
                           check_quotient_relation, gauge_unitary,
                           vacuum_operator_spectrum)
@@ -170,3 +171,35 @@ def test_invalid_inputs():
         bundle_operator(rep, 5)
     with pytest.raises(ValueError):
         gauge_unitary(rep, 1, "twisted")
+
+
+def test_gauge_unitary_built_once_per_root_class():
+    rep = build_bundle(TruncationParams(2, 3), 4)
+    for variant in (PAPER_UNITARY, BLOCK_SHIFT_UNITARY):
+        for w in range(4):
+            assert gauge_unitary(rep, w + 4, variant) is gauge_unitary(rep, w, variant)
+            assert gauge_unitary(rep, w - 4, variant) is gauge_unitary(rep, w, variant)
+    # an equal bundle built separately shares the cache entries
+    assert gauge_unitary(build_bundle(TruncationParams(2, 3), 4), 1, PAPER_UNITARY) \
+        is gauge_unitary(rep, 1, PAPER_UNITARY)
+
+
+def test_gauge_unitary_cache_is_bounded_and_skips_bad_variants():
+    assert gauge._build_unitary.cache_info().maxsize is not None
+    rep = build_bundle(TruncationParams(2, 3), 4)
+    before = gauge._build_unitary.cache_info()
+    with pytest.raises(ValueError):
+        gauge_unitary(rep, 1, "twisted")
+    assert gauge._build_unitary.cache_info() == before
+
+
+def test_unitarity_check_runs_on_first_build(monkeypatch):
+    # an image that misses position 0 is injective but not onto: U U* loses
+    # the (0, 0) entry
+    monkeypatch.setattr(BundleRep, "positions",
+                        property(lambda rep: (-1,) + tuple(range(1, rep.dim))))
+    gauge._build_unitary.cache_clear()
+    rep = build_bundle(TruncationParams(2, 2), 3)
+    with pytest.raises(AssertionError, match="unitarity"):
+        gauge_unitary(rep, 0, BLOCK_SHIFT_UNITARY)
+    assert gauge._build_unitary.cache_info().currsize == 0

@@ -20,6 +20,15 @@ GOLDEN = {
         "551d8d6cbec0d8a1f396b98653da5c6c115bcbf4494f2e7a3582974f2124de04",
     ("gauge", "--n", "2", "--max-degree", "3", "--roots", "4"):
         "ccd5991c8be2775033d98106095183aca1b3b8d536bfdb41bb95781d14946ff0",
+    # the benchmark's sizes: the verify-all and gauge-bundle workloads, and
+    # the masa suite one letter past them
+    ("verify", "--suite", "all", "--n", "4", "--max-degree", "6", "--c", "1/2",
+     "--jobs", "1"):
+        "35ae90f7b517a1dcb8b58be9b2ca04de2825de5d42616180c144e271045f5e41",
+    ("verify", "--suite", "masa", "--n", "5", "--max-degree", "6", "--jobs", "1"):
+        "002064da7c921ae307afa2191268183d82dee738a6621e820d28fd5e22e0ff4f",
+    ("gauge", "--n", "3", "--max-degree", "12", "--roots", "8", "--unitary", "paper"):
+        "b33dc4e420b3be1c7b0ac0d860dc0cb4fa9ad4d4a5490a130b267918cf15790b",
 }
 
 

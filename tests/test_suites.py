@@ -11,7 +11,7 @@ from wmfock import suites
 from wmfock.fock import TruncationParams, column_map, indices_up_to
 from wmfock.sparse import PhaseMatrix
 from wmfock.suites import (SUITE_NAMES, ck_suite, gauge_suite, masa_suite,
-                           monomial_products, projections_suite,
+                           monomial_diagonals, projections_suite,
                            relations_suite, run_all, run_suite,
                            sample_words, soundness_check, spectrum_suite,
                            total_failures)
@@ -103,6 +103,23 @@ def test_masa_suite_counts():
     assert total_failures(report) == 0
 
 
+def monomial_products(params, indices):
+    """Oracle: every normal monomial ``a*(nu) [P0] a(mu)`` over ``indices``
+    with the full direct product of its generator maps, ``nu``-major, then
+    ``mu``, then without and with ``P0``; each block is composed once and a
+    monomial costs one gather, or two with ``P0`` between the blocks."""
+    zero = (0,) * params.n
+    creation = [_compose_codes(NormalMonomial(nu, False, zero).codes(), params)
+                for nu in indices]
+    annihilation = [_compose_codes(NormalMonomial(zero, False, mu).codes(), params)
+                    for mu in indices]
+    vacuum = column_map(params, 0, False)
+    for nu, create in zip(indices, creation):
+        for mu, annihilate in zip(indices, annihilation):
+            yield NormalMonomial(nu, False, mu), create @ annihilate
+            yield NormalMonomial(nu, True, mu), create @ (vacuum @ annihilate)
+
+
 @pytest.mark.parametrize("n,max_degree", [(2, 5), (3, 4)])
 def test_block_products_match_word_products(n, max_degree):
     params = TruncationParams(n, max_degree)
@@ -113,6 +130,76 @@ def test_block_products_match_word_products(n, max_degree):
     for monomial, product in pairs:
         assert product == _compose_codes(monomial.codes(), params), monomial
         assert product == evaluate_word(monomial.word(), params), monomial
+
+
+@pytest.mark.parametrize("n,max_degree,degree_cap", [(2, 5, 5), (3, 4, 4), (4, 6, 4)])
+def test_monomial_diagonals_match_products(n, max_degree, degree_cap):
+    params = TruncationParams(n, max_degree)
+    indices = indices_up_to(n, degree_cap)
+    fixed = monomial_diagonals(params, indices)
+    position = {mu: k for k, mu in enumerate(indices)}
+    for monomial, product in monomial_products(params, indices):
+        nu, flag, mu = monomial.creation, monomial.vacuum, monomial.annihilation
+        # the suite's cutoff: the guard band of a monomial that raises degree
+        cutoff = params.degree_prefix(max_degree - max(0, sum(nu) - sum(mu)))
+        columns = fixed.get((position[nu], position[mu], flag), ())
+        assert list(columns) == sorted(columns), monomial
+        assert {c: 1 for c in columns if c < cutoff} == product.diagonal(cutoff), monomial
+    # a monomial that fixes nothing has no key
+    assert all(fixed.values())
+
+
+def _drop_vacuum_to_e1(block, params):
+    # a*_1 without its entry e_0 -> e_1
+    return PhaseMatrix((-1,) + block.image[1:])
+
+
+def _share_an_a2_entry(block, params):
+    # a*_1 also sends e_2 to e_2 e_2, an entry of a*_2.  a*_1 is the earlier
+    # block, so a lookup that kept only the last block per entry would drop
+    # the fault silently
+    a2 = column_map(params, 2, True).image
+    image = list(block.image)
+    image[a2[0]] = a2[a2[0]]
+    return PhaseMatrix(image)
+
+
+@pytest.mark.parametrize("fault", ["leaky-vacuum", "dropped-creator", "shared-entry"])
+def test_expectation_of_monomials_catches_matrix_side_faults(monkeypatch, fault):
+    # each fault touches only the matrix side; the symbolic side is unchanged
+    if fault == "leaky-vacuum":
+        def vacuum_map(params, index, starred):
+            if index == 0:  # P0 that also fixes e_1
+                return PhaseMatrix((0, 1) + (-1,) * (params.basis_size - 2))
+            return column_map(params, index, starred)
+        monkeypatch.setattr(suites, "column_map", vacuum_map)
+    else:
+        edit = _drop_vacuum_to_e1 if fault == "dropped-creator" else _share_an_a2_entry
+
+        def faulty_blocks(codes, params):
+            block = _compose_codes(codes, params)
+            return edit(block, params) if tuple(codes) == (3,) else block  # a*_1
+        monkeypatch.setattr(suites, "_compose_codes", faulty_blocks)
+    report = masa_suite(2, 4, degree_cap=2, rank_cap=3, samples=0)
+    mono = next(c for c in report["checks"] if c["name"] == "expectation-of-monomials")
+    assert mono["failures"] > 0
+    assert set(mono["firstFailure"]) == {"nu", "mu", "vacuum"}
+
+
+def test_positivity_reports_a_non_injective_generator(monkeypatch):
+    # P0 that sends both e_0 and e_1 to e_0: a word map with two columns in
+    # one row has no column-stored adjoint, which must fail a case, not crash
+    def merging_word(word, params):
+        merge = PhaseMatrix((0, 0) + (-1,) * (params.basis_size - 2))
+        return reduce(matmul, [merge if sym.index == 0 else
+                               column_map(params, sym.index, sym.starred) for sym in word])
+
+    monkeypatch.setattr(suites, "evaluate_word", merging_word)
+    report = masa_suite(2, 4, degree_cap=2, rank_cap=3, samples=20)
+    positive = next(c for c in report["checks"]
+                    if c["name"] == "expectation-positive-on-squares")
+    assert positive["failures"] > 0
+    assert set(positive["firstFailure"]) == {"word"}
 
 
 def test_projections_suite_records_declared_range():
