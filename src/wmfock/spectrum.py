@@ -9,22 +9,30 @@ boundary points realize the coordinatewise limits obtained by sending one
 slot of the index to infinity, and are enumerated by a pivot letter, a block
 of 0/1 bits below it, and a finite tail above it.
 
-Coordinates are exact rationals throughout; the decimal columns of the CSV
-dataset are a 15-significant-digit rendering (round half to even) computed
-by integer arithmetic, so emitted files are byte-deterministic.  Since
-``r_k <= max_degree``, every coordinate takes one of at most
-``max_degree + 2`` values for a given ``c``: 0, 1 and ``1 - c**r`` for
-r = 1..max_degree.  Each value is computed once per :func:`interior_points`
-or :func:`boundary_points` call, which work on integer ranks into that table
-of values, and each value (CSV) or projected coordinate pair (SVG) is
-rendered once per emit call.
+Since ``r_k <= max_degree``, every coordinate is one of the
+``max_degree + 2`` values of :func:`coordinate_values`: 0, ``1 - c**r`` for
+r = 1..max_degree, and 1, in increasing order.  A :class:`SpectrumPoint`
+stores the integer rank of each coordinate in that table, together with the
+table it indexes, which every point of one enumeration shares; its exact
+Fraction coordinates are read from the table on demand.  Ranks order, group
+and key points exactly as their coordinates would.
+
+Emission works on ranks.  The CSV emitter renders each table value once,
+as an exact fraction and as 15 significant decimal digits (round half to
+even, by integer arithmetic), and joins every row from those strings.  The
+SVG emitter writes the table over one common denominator (``q**max_degree``
+for ``c = p/q``) and computes each pixel as an integer ratio, rounded to two
+decimals half to even and memoised on the rank tuple its axis reads.  Both
+outputs are byte-deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from math import lcm
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from .fock import (MultiIndex, TruncationParams, _compositions, enumerate_basis,
                    indices_up_to)
@@ -47,6 +55,9 @@ class SpectrumConfig:
         if self.max_degree < 1:
             raise ValueError("max_degree must be >= 1")
         c = self.c
+        if isinstance(c, float):
+            raise TypeError("c must be exact (a Fraction, an int or a 'p/q' string), "
+                            "not the float %r" % c)
         if not isinstance(c, Fraction):
             object.__setattr__(self, "c", Fraction(c))
             c = self.c
@@ -70,11 +81,35 @@ class BoundaryPattern:
 Provenance = Tuple[object, ...]  # multi-indices (interior) or BoundaryPattern
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class SpectrumPoint:
-    coords: Tuple[Fraction, ...]
+    """A point of the embedded spectrum: coordinate k is ``table[ranks[k]]``.
+
+    ``table`` is a :func:`coordinate_values` table (or one built the same
+    way), shared by every point of an enumeration.  Points compare and hash
+    by their coordinates, kind and provenance, whatever table they index.
+    """
+
+    ranks: Tuple[int, ...]
+    table: Sequence[Fraction] = field(repr=False)
     kind: str
     provenance: Provenance
+
+    @property
+    def coords(self) -> Tuple[Fraction, ...]:
+        table = self.table
+        return tuple(table[r] for r in self.ranks)
+
+    def _key(self) -> tuple:
+        return self.coords, self.kind, self.provenance
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SpectrumPoint):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def r_value(mu: MultiIndex, k: int) -> int:
@@ -92,8 +127,10 @@ def embed_coords(mu: MultiIndex, c: Fraction) -> Tuple[Fraction, ...]:
 
 
 def embed(mu: MultiIndex, c: Fraction) -> SpectrumPoint:
+    """The interior point of ``mu``, indexing a table up to rank ``|mu|``."""
     mu = tuple(mu)
-    return SpectrumPoint(embed_coords(mu, c), INTERIOR, (mu,))
+    ranks = tuple(r_value(mu, k) for k in range(1, len(mu) + 1))
+    return SpectrumPoint(ranks, _value_table(c, sum(mu)), INTERIOR, (mu,))
 
 
 def _tails(parts: int, cap: int) -> Iterator[Tuple[int, ...]]:
@@ -114,20 +151,27 @@ def boundary_patterns(cfg: SpectrumConfig) -> List[BoundaryPattern]:
     return out
 
 
-def coordinate_values(cfg: SpectrumConfig) -> List[Fraction]:
+@lru_cache(maxsize=8)
+def coordinate_values(cfg: SpectrumConfig) -> Tuple[Fraction, ...]:
     """Every coordinate value, indexed by its rank: ``1 - c**r`` at rank
     r = 0..max_degree (0 at rank 0), and 1 at rank ``max_degree + 1``.
 
     The table is strictly increasing because 0 < c < 1, so tuples of ranks
     compare, group and sort exactly as the coordinate tuples they stand for.
+    It is immutable and cached, so the interior and boundary points of one
+    configuration index the same table object.
     """
+    return _value_table(cfg.c, cfg.max_degree)
+
+
+def _value_table(c: Fraction, max_degree: int) -> Tuple[Fraction, ...]:
     values = [Fraction(0)]
     power = Fraction(1)
-    for _ in range(cfg.max_degree):
-        power *= cfg.c
+    for _ in range(max_degree):
+        power *= c
         values.append(1 - power)
     values.append(Fraction(1))
-    return values
+    return tuple(values)
 
 
 def boundary_ranks(pattern: BoundaryPattern, cfg: SpectrumConfig) -> Tuple[int, ...]:
@@ -142,19 +186,19 @@ def boundary_ranks(pattern: BoundaryPattern, cfg: SpectrumConfig) -> Tuple[int, 
 def interior_points(cfg: SpectrumConfig) -> List[SpectrumPoint]:
     """The images of the indices of degree ``<= max_degree``, in graded order.
 
-    Equal to ``embed`` on every index, but each coordinate is read from
-    :func:`coordinate_values`, built once, so points share its Fractions.
+    Equal to ``embed`` on every index; every point indexes the one
+    :func:`coordinate_values` table of ``cfg``.
     """
     values = coordinate_values(cfg)
     points = []
     for mu in enumerate_basis(TruncationParams(cfg.n, cfg.max_degree)):
-        coords = []
+        ranks = []
         tail = 0  # r_k = mu_k + ... + mu_n when mu_k > 0, read right to left
         for m in reversed(mu):
             tail += m
-            coords.append(values[tail] if m else values[0])
-        coords.reverse()
-        points.append(SpectrumPoint(tuple(coords), INTERIOR, (mu,)))
+            ranks.append(tail if m else 0)
+        ranks.reverse()
+        points.append(SpectrumPoint(tuple(ranks), values, INTERIOR, (mu,)))
     return points
 
 
@@ -165,7 +209,7 @@ def boundary_points(cfg: SpectrumConfig) -> List[SpectrumPoint]:
     for pattern in boundary_patterns(cfg):
         by_ranks.setdefault(boundary_ranks(pattern, cfg), []).append(pattern)
     values = coordinate_values(cfg)
-    return [SpectrumPoint(tuple(values[r] for r in ranks), BOUNDARY, tuple(patterns))
+    return [SpectrumPoint(ranks, values, BOUNDARY, tuple(patterns))
             for ranks, patterns in sorted(by_ranks.items())]
 
 
@@ -353,15 +397,46 @@ def decimal15(x: Fraction) -> str:
 def render_provenance(item) -> str:
     if isinstance(item, BoundaryPattern):
         return "lim(k=%d;eps=(%s);tail=(%s))" % (
-            item.pivot,
-            ";".join(str(b) for b in item.bits),
-            ";".join(str(t) for t in item.tail),
-        )
-    return "(%s)" % ";".join(str(x) for x in item)
+            item.pivot, ";".join(map(str, item.bits)), ";".join(map(str, item.tail)))
+    return _index_format(len(item)) % tuple(item)
+
+
+@lru_cache(maxsize=16)
+def _index_format(length: int) -> str:
+    """``"(%d;...;%d)"`` with ``length`` fields: one C-level format per index."""
+    return "(" + ";".join(["%d"] * length) + ")"
 
 
 def point_provenance(point: SpectrumPoint) -> str:
-    return "|".join(render_provenance(item) for item in point.provenance)
+    return "|".join(map(render_provenance, point.provenance))
+
+
+_State = TypeVar("_State")
+
+
+def _per_table(points: Iterable[SpectrumPoint],
+               prepare: Callable[[Sequence[Fraction]], _State]
+               ) -> Iterator[Tuple[SpectrumPoint, _State]]:
+    """Pair each point with ``prepare(point.table)``, called once per table.
+
+    The states are keyed by table identity and hold their table, so an id
+    cannot be reused while the states live.
+    """
+    states: Dict[int, Tuple[Sequence[Fraction], _State]] = {}
+    table: Optional[Sequence[Fraction]] = None
+    state = None
+    for point in points:
+        if point.table is not table:
+            table = point.table
+            entry = states.get(id(table))
+            if entry is None:
+                entry = states[id(table)] = (table, prepare(table))
+            state = entry[1]
+        yield point, state
+
+
+def _render_values(table: Sequence[Fraction]) -> Tuple[List[str], List[str]]:
+    return [frac_str(x) for x in table], [decimal15(x) for x in table]
 
 
 def emit_csv(points: Sequence[SpectrumPoint], n: int) -> str:
@@ -369,26 +444,17 @@ def emit_csv(points: Sequence[SpectrumPoint], n: int) -> str:
     header.extend("x%d" % k for k in range(1, n + 1))
     header.extend("x%d_dec" % k for k in range(1, n + 1))
     lines = [",".join(header)]
-    # Keyed by (numerator, denominator): Fraction.__hash__ is not cached and
-    # costs a modular inverse of the denominator on every call.
-    rendered: Dict[Tuple[int, int], Tuple[str, str]] = {}
-    for point in points:
-        cells = []
-        for x in point.coords:
-            key = (x.numerator, x.denominator)
-            cell = rendered.get(key)
-            if cell is None:
-                cell = rendered[key] = (frac_str(x), decimal15(x))
-            cells.append(cell)
-        row = [point.kind, point_provenance(point)]
-        row.extend(exact for exact, _ in cells)
-        row.extend(dec for _, dec in cells)
-        lines.append(",".join(row))
+    for point, (exact, dec) in _per_table(points, _render_values):
+        ranks = point.ranks
+        lines.append("%s,%s,%s,%s" % (point.kind, point_provenance(point),
+                                      ",".join([exact[r] for r in ranks]),
+                                      ",".join([dec[r] for r in ranks])))
     return "\n".join(lines) + "\n"
 
 
 _SVG_SIZE = 760
 _SVG_MARGIN = 40
+_SVG_DEPTH = Fraction(2, 5)  # n = 3: cavalier projection, x2 receding at slope 2/5
 
 
 def _fmt2(x: Fraction) -> str:
@@ -402,18 +468,65 @@ def _fmt2(x: Fraction) -> str:
     return "%s%d.%02d" % (sign, q // 100, q % 100)
 
 
+def _ratio2(num: int, den: int) -> str:
+    """``num / den`` for ``den > 0`` to two decimals, round half to even,
+    exactly as :func:`_fmt2` renders the Fraction."""
+    sign = "-" if num < 0 else ""
+    q, r = divmod(abs(num) * 100, den)
+    double = 2 * r
+    if double > den or (double == den and q % 2 == 1):
+        q += 1
+    return "%s%d.%02d" % (sign, q // 100, q % 100)
+
+
 def _project(coords: Tuple[Fraction, ...]) -> Tuple[Fraction, Fraction]:
-    # n = 2: plain plane; n = 3: cavalier projection, x2 receding at slope 2/5
+    # n = 2: plain plane; n = 3: cavalier projection
     if len(coords) == 2:
         return coords[0], coords[1]
-    depth = Fraction(2, 5)
-    return coords[0] + depth * coords[1], coords[2] + depth * coords[1]
+    return coords[0] + _SVG_DEPTH * coords[1], coords[2] + _SVG_DEPTH * coords[1]
 
 
 def _pixel(u: Fraction, v: Fraction, scale: Fraction) -> Tuple[Fraction, Fraction]:
     px = _SVG_MARGIN + u * scale
     py = _SVG_SIZE - _SVG_MARGIN - v * scale
     return px, py
+
+
+class _AxisTexts(dict):
+    """Pixel texts along one axis of one table, keyed by the rank tuple the
+    axis reads and filled on first use.
+
+    With the table written over a common denominator as ``nums[r] / den``,
+    the pixel of ranks ``(r, ...)`` is the integer ratio
+    ``(offset + sum(w * nums[r])) / den``.  A value is the rendered pair
+    (pixel, pixel - 4).
+    """
+
+    def __init__(self, offset: int, weights: Tuple[int, ...], nums: List[int], den: int):
+        super().__init__()
+        self.offset, self.weights, self.nums, self.den = offset, weights, nums, den
+
+    def __missing__(self, ranks: Tuple[int, ...]) -> Tuple[str, str]:
+        nums = self.nums
+        num = self.offset + sum(w * nums[r] for w, r in zip(self.weights, ranks))
+        text = self[ranks] = (_ratio2(num, self.den), _ratio2(num - 4 * self.den, self.den))
+        return text
+
+
+def _pixel_texts(table: Sequence[Fraction], n: int,
+                 scale: Fraction) -> Tuple[_AxisTexts, _AxisTexts]:
+    """The x and y memos of one table: x reads ranks ``[:n - 1]`` (x1, and
+    x2 for n = 3), y reads ranks ``[1:]`` (x2 for n = 3, and x_n)."""
+    table_den = lcm(*(x.denominator for x in table))
+    nums = [x.numerator * (table_den // x.denominator) for x in table]
+    weights = (scale, _SVG_DEPTH * scale)  # of x1 (or x_n) and of x2
+    unit = lcm(*(w.denominator for w in weights))
+    den = table_den * unit
+    a, b = (w.numerator * (unit // w.denominator) for w in weights)
+    x_weights = (a, b) if n == 3 else (a,)
+    y_weights = (-b, -a) if n == 3 else (-a,)
+    return (_AxisTexts(_SVG_MARGIN * den, x_weights, nums, den),
+            _AxisTexts((_SVG_SIZE - _SVG_MARGIN) * den, y_weights, nums, den))
 
 
 def check_svg_dimension(n: int) -> None:
@@ -456,30 +569,19 @@ def emit_svg(points: Sequence[SpectrumPoint], n: int) -> str:
         lines.append('<line x1="%s" y1="%s" x2="%s" y2="%s" '
                      'stroke="#888888" stroke-width="1"/>'
                      % (_fmt2(x1), _fmt2(y1), _fmt2(x2), _fmt2(y2)))
-    # The x pixel depends only on (x1, x2) for n = 3 and on x1 for n = 2, the
-    # y pixel only on (x2, x3) or x2.  Each axis memo maps those coordinates,
-    # as (numerator, denominator) pairs, to the rendered (centre, centre - 4).
-    x_texts: Dict[tuple, Tuple[str, str]] = {}
-    y_texts: Dict[tuple, Tuple[str, str]] = {}
-    for point in points:
-        keys = [(x.numerator, x.denominator) for x in point.coords]
-        x_key, y_key = tuple(keys[:n - 1]), tuple(keys[1:])
-        x_text = x_texts.get(x_key)
-        if x_text is None:
-            px = _pixel(*_project(point.coords), scale)[0]
-            x_text = x_texts[x_key] = (_fmt2(px), _fmt2(px - 4))
-        y_text = y_texts.get(y_key)
-        if y_text is None:
-            py = _pixel(*_project(point.coords), scale)[1]
-            y_text = y_texts[y_key] = (_fmt2(py), _fmt2(py - 4))
-        title = "%s %s" % (point.kind, point_provenance(point))
-        if point.kind == INTERIOR:
+    for point, (x_texts, y_texts) in _per_table(
+            points, lambda table: _pixel_texts(table, n, scale)):
+        ranks = point.ranks
+        x_text, y_text = x_texts[ranks[:n - 1]], y_texts[ranks[1:]]
+        kind = point.kind
+        if kind == INTERIOR:
             lines.append('<circle cx="%s" cy="%s" r="4" fill="#c0392b">'
-                         '<title>%s</title></circle>' % (x_text[0], y_text[0], title))
+                         '<title>%s %s</title></circle>'
+                         % (x_text[0], y_text[0], kind, point_provenance(point)))
         else:
             lines.append('<rect x="%s" y="%s" width="8" height="8" fill="none" '
                          'stroke="#2c3e50" stroke-width="1.5">'
-                         '<title>%s</title></rect>'
-                         % (x_text[1], y_text[1], title))
+                         '<title>%s %s</title></rect>'
+                         % (x_text[1], y_text[1], kind, point_provenance(point)))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from wmfock.spectrum import (BOUNDARY, INTERIOR, BoundaryPattern, FunctionalKey,
                              SpectrumConfig, SpectrumPoint, _SVG_MARGIN, _SVG_SIZE,
-                             _fmt2, _pixel, _project,
+                             _fmt2, _pixel, _project, _ratio2,
                              boundary_convergence_report, boundary_patterns,
-                             boundary_points, decimal15, embed, embed_coords,
-                             emit_csv, emit_svg, enumerate_spectrum,
+                             boundary_points, coordinate_values, decimal15, embed,
+                             embed_coords, emit_csv, emit_svg, enumerate_spectrum,
                              functional_apply, interior_points, point_provenance,
                              r_value, render_provenance, verify_multiplicativity)
 from wmfock.fock import indices_up_to
@@ -51,6 +51,39 @@ def test_config_validation():
         SpectrumConfig(1, 3, HALF)
 
 
+def test_config_rejects_float_c():
+    # a float is not the rational it looks like: 0.1 would become 3602879701896397/2**55
+    for c in (0.1, 0.5):
+        with pytest.raises(TypeError):
+            SpectrumConfig(2, 3, c)
+    assert SpectrumConfig(2, 3, "3/7").c == Fraction(3, 7)
+    assert SpectrumConfig(2, 3, Fraction(1, 3)).c == Fraction(1, 3)
+    with pytest.raises(ValueError):  # an int is exact, and out of range
+        SpectrumConfig(2, 3, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.integers(2, 60), degree=st.integers(1, 40), data=st.data())
+def test_coordinate_values_table(q, degree, data):
+    c = Fraction(data.draw(st.integers(1, q - 1)), q)
+    values = coordinate_values(SpectrumConfig(2, degree, c))
+    assert len(values) == degree + 2
+    assert values[0] == 0 and values[-1] == 1
+    assert all(values[r] == 1 - c ** r for r in range(1, degree + 1))
+    assert all(a < b for a, b in zip(values, values[1:]))
+
+
+def test_points_compare_by_coordinates_across_tables():
+    cfg = SpectrumConfig(3, 5, Fraction(2, 7))
+    for point in interior_points(cfg):
+        other = embed(point.provenance[0], cfg.c)
+        assert other.table is not point.table
+        assert other == point and hash(other) == hash(point)
+    assert embed((1, 2), HALF) != embed((1, 2), Fraction(1, 3))
+    assert embed((1, 2), HALF) != SpectrumPoint((3, 2), coordinate_values(
+        SpectrumConfig(2, 3, HALF)), BOUNDARY, ((1, 2),))
+
+
 def test_interior_count_is_stars_and_bars():
     cfg = SpectrumConfig(2, 3, HALF)
     assert len(interior_points(cfg)) == 10  # C(5,2), brute count in test_fock
@@ -81,6 +114,12 @@ def test_boundary_shape_invariants():
         assert point.coords[k - 1] == 1
         assert all(point.coords[j] in (Fraction(0), Fraction(1)) for j in range(k - 1))
         assert all(point.coords[j] < 1 for j in range(k, cfg.n))
+
+
+def test_one_enumeration_shares_one_table():
+    cfg = SpectrumConfig(3, 4, Fraction(2, 9))
+    assert len({id(p.table) for p in enumerate_spectrum(cfg)}) == 1
+    assert coordinate_values.cache_info().maxsize is not None
 
 
 def test_enumeration_is_deterministic_and_deduplicated():
@@ -210,6 +249,7 @@ def test_decimal_round_half_even():
 
 def test_provenance_rendering():
     assert render_provenance((1, 1)) == "(1;1)"
+    assert render_provenance([10, 0, 2]) == "(10;0;2)"
     assert render_provenance(BoundaryPattern(1, (), (2,))) == "lim(k=1;eps=();tail=(2))"
     assert render_provenance(BoundaryPattern(2, (1,), ())) == "lim(k=2;eps=(1);tail=())"
 
@@ -245,6 +285,14 @@ def test_svg_n3_projection():
     cfg = SpectrumConfig(3, 2, HALF)
     svg = emit_svg(enumerate_spectrum(cfg), 3)
     assert svg.count("<line") == 12  # projected cube frame
+
+
+@settings(max_examples=300, deadline=None)
+@given(num=st.integers(-10 ** 6, 10 ** 6), den=st.integers(1, 10 ** 4))
+def test_integer_pixel_rounding_matches_fmt2(num, den):
+    assert _ratio2(num, den) == _fmt2(Fraction(num, den))
+    tie = 2 * num + 1  # exactly halfway between two hundredths
+    assert _ratio2(tie, 200) == _fmt2(Fraction(tie, 200))
 
 
 def test_svg_rejects_higher_dimensions():
@@ -312,18 +360,40 @@ def test_emitters_match_reference_loops_property(n, degree, q, data):
 @pytest.mark.parametrize("n", [2, 3])
 def test_emitters_do_not_rely_on_shared_coordinate_objects(n):
     cfg = SpectrumConfig(n, 6, Fraction(3, 7))
-    points = [SpectrumPoint(tuple(Fraction(x.numerator, x.denominator) for x in p.coords),
-                            p.kind, p.provenance)
+    shared = coordinate_values(cfg)
+    table = tuple(Fraction(x.numerator, x.denominator) for x in shared)
+    assert table == shared and table[1] is not shared[1]
+    points = [SpectrumPoint(p.ranks, table, p.kind, p.provenance)
               for p in enumerate_spectrum(cfg)]
     random.Random(5).shuffle(points)
-    copies = [x for p in points for x in p.coords if x == 1 - cfg.c]
-    assert len(copies) > 1 and copies[0] is not copies[1]
     assert emit_csv(points, n) == _csv_reference(points, n)
     assert emit_svg(points, n) == _svg_reference(points, n)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_emitters_accept_points_of_many_tables(n):
+    # embed builds a table per point, sized by the index's degree; boundary
+    # points index the table of their enumeration
+    cfg = SpectrumConfig(n, 5, Fraction(3, 7))
+    points = [embed(mu, c) for mu in indices_up_to(n, 5)
+              for c in (cfg.c, Fraction(5, 11))] + boundary_points(cfg)
+    random.Random(3).shuffle(points)
+    assert len({id(p.table) for p in points}) > 2
+    assert emit_csv(points, n) == _csv_reference(points, n)
+    assert emit_svg(points, n) == _svg_reference(points, n)
+    # a generator frees each table after use, so CPython may hand its
+    # address to the next one: state kept by table identity must not go stale
+    assert emit_csv(iter(points), n) == _csv_reference(points, n)
+    lazy = (embed(mu, Fraction(k, 13)) for mu in indices_up_to(n, 4) for k in (2, 3, 5))
+    eager = [embed(mu, Fraction(k, 13)) for mu in indices_up_to(n, 4) for k in (2, 3, 5)]
+    assert emit_csv(lazy, n) == _csv_reference(eager, n)
+
+
 # SHA-256 of the datasets, recorded before the emitters were memoised and
-# identical under CPython 3.10, 3.11, 3.12 and 3.13.
+# identical under CPython 3.10, 3.11, 3.12 and 3.13.  The (3, 60) entries are
+# the benchmark's dataset at the primary and held-out seeds' c (the
+# spectrum-dataset digests in perfbench/workloads.py), recorded before the
+# emitters moved to coordinate ranks.
 GOLDEN_DIGESTS = {
     (2, 20, Fraction(5, 7)): (
         "02036d8656db95b3b400d8ac2f84864603c624e8f3882b812df1a1377cf8c1b3",
@@ -331,6 +401,12 @@ GOLDEN_DIGESTS = {
     (3, 12, Fraction(3, 7)): (
         "00172c335a82e63c4249ec73780839e751dd9d80aa8455b301a9f0ac56d6772f",
         "08ea3362e3412b5f9b7cbec936f74767d76e15627ee4044b4728bc9b69c2de03"),
+    (3, 60, Fraction(3, 7)): (
+        "9e9b8369a88be39754103d515b215b43feb32eab6265048c4e7a3822b40e8925",
+        "fd1fd5b1ec5820235c8df27aeca17e7840fe933f8684333002c6167ce863ee3b"),
+    (3, 60, Fraction(4, 7)): (
+        "02ee872731af8b22b12f8df96e962eab39dce92fd7593ad69cee704d0bfb08e1",
+        "3350457f6bb1930e094ec87f819f01b5d9f523adb1310567ad812f765d9990ad"),
 }
 
 
