@@ -94,12 +94,26 @@ def _validate_common(args) -> Optional[str]:
     return None
 
 
+_WRITE_SLICE = 1 << 20  # characters handed to the encoder per write
+
+
 def _write_output(text: str, path: Optional[str]) -> None:
+    """Write ``text`` to ``path``, or to stdout when ``path`` is None.
+
+    The text goes out in slices of at most ``_WRITE_SLICE`` characters, so
+    the encoder never holds a second copy of a whole dataset.  A slice ends
+    between code points, so the bytes are those of one whole-text write.
+    """
     if path is None:
-        sys.stdout.write(text)
+        _write_slices(sys.stdout, text)
     else:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            _write_slices(handle, text)
+
+
+def _write_slices(handle, text: str) -> None:
+    for start in range(0, len(text), _WRITE_SLICE):
+        handle.write(text[start:start + _WRITE_SLICE])
 
 
 def _cmd_verify(args) -> int:

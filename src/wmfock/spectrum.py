@@ -19,11 +19,14 @@ and key points exactly as their coordinates would.
 
 Emission works on ranks.  The CSV emitter renders each table value once,
 as an exact fraction and as 15 significant decimal digits (round half to
-even, by integer arithmetic), and joins every row from those strings.  The
-SVG emitter writes the table over one common denominator (``q**max_degree``
-for ``c = p/q``) and computes each pixel as an integer ratio, rounded to two
-decimals half to even and memoised on the rank tuple its axis reads.  Both
-outputs are byte-deterministic.
+even, by integer arithmetic).  The SVG emitter writes the table over one
+common denominator (``q**max_degree`` for ``c = p/q``) and computes each
+pixel as an integer ratio, rounded to two decimals half to even and
+memoised on the rank tuple its axis reads.  Each emitter then joins its
+text once from shared fragments (those rendered strings, the markup and the
+separators) and one provenance string per point, closing newline included,
+so no row string and no second copy of the text is built.  Both outputs are
+byte-deterministic.
 """
 
 from __future__ import annotations
@@ -119,11 +122,6 @@ def r_value(mu: MultiIndex, k: int) -> int:
     if mu[k - 1] == 0:
         return 0
     return sum(mu[k - 1:])
-
-
-def embed_coords(mu: MultiIndex, c: Fraction) -> Tuple[Fraction, ...]:
-    """The cube point with coordinates 1 - c**r_k(mu), all exact."""
-    return tuple(1 - c ** r_value(mu, k) for k in range(1, len(mu) + 1))
 
 
 def embed(mu: MultiIndex, c: Fraction) -> SpectrumPoint:
@@ -318,23 +316,38 @@ def verify_multiplicativity(cfg: SpectrumConfig, degree_cap: int) -> dict:
     }
 
 
+def _powers(c: Fraction, top: int) -> List[Fraction]:
+    """``[c**0, c**1, ..., c**top]``, one multiplication each."""
+    powers = [Fraction(1)]
+    for _ in range(top):
+        powers.append(powers[-1] * c)
+    return powers
+
+
 def boundary_convergence_report(cfg: SpectrumConfig, p_limit: int = 20) -> dict:
     """Exact check that the approximating families reach their boundary points.
 
     For every boundary pattern and p = 1..p_limit: coordinates above the
     pivot are already equal to the limit, bits below are constant, and the
     pivot coordinate increases strictly with gap exactly c**(p + tail sum).
+    Coordinate k of an index is ``1 - powers[r_k]``, read from one table
+    built from the powers of c up to the largest exponent the families
+    reach; the limits come from :func:`coordinate_values`.
     """
     cases = 0
     failures: List[dict] = []
     values = coordinate_values(cfg)
-    for pattern in boundary_patterns(cfg):
+    patterns = boundary_patterns(cfg)
+    top = p_limit + max(sum(pattern.bits) + sum(pattern.tail) for pattern in patterns)
+    coordinate = [1 - power for power in _powers(cfg.c, top)]  # by exponent
+    for pattern in patterns:
         target = tuple(values[r] for r in boundary_ranks(pattern, cfg))
         k = pattern.pivot
         tail_sum = sum(pattern.tail)
         previous = None
         for p in range(1, p_limit + 1):
-            coords = embed_coords(pattern.index_at(p), cfg.c)
+            mu = pattern.index_at(p)
+            coords = tuple(coordinate[r_value(mu, j)] for j in range(1, cfg.n + 1))
             ok = all(coords[j] == target[j] for j in range(k, cfg.n))
             for j in range(k - 1):
                 if pattern.bits[j] == 0:
@@ -343,8 +356,7 @@ def boundary_convergence_report(cfg: SpectrumConfig, p_limit: int = 20) -> dict:
                     ok = ok and coords[j] < 1
                     if previous is not None:
                         ok = ok and coords[j] > previous[j]
-            gap = 1 - coords[k - 1]
-            ok = ok and gap == cfg.c ** (p + tail_sum)
+            ok = ok and coords[k - 1] == coordinate[p + tail_sum]  # gap c**(p + tail_sum)
             if previous is not None:
                 ok = ok and coords[k - 1] > previous[k - 1]
             cases += 1
@@ -435,21 +447,31 @@ def _per_table(points: Iterable[SpectrumPoint],
         yield point, state
 
 
-def _render_values(table: Sequence[Fraction]) -> Tuple[List[str], List[str]]:
-    return [frac_str(x) for x in table], [decimal15(x) for x in table]
+def _csv_fields(table: Sequence[Fraction]) -> Tuple[List[str], List[str]]:
+    """Each table value as the CSV field after its comma: exact, and decimal."""
+    return ["," + frac_str(x) for x in table], ["," + decimal15(x) for x in table]
 
 
 def emit_csv(points: Sequence[SpectrumPoint], n: int) -> str:
+    """The dataset as CSV: a header, then one row per point.
+
+    The text is one join over shared fragments: the kind, the separators and
+    the per-table field strings, with one provenance string per point.  No
+    row string is built, and the closing newline is the last fragment, so
+    the text is never copied whole.
+    """
     header = ["kind", "provenance"]
     header.extend("x%d" % k for k in range(1, n + 1))
     header.extend("x%d_dec" % k for k in range(1, n + 1))
-    lines = [",".join(header)]
-    for point, (exact, dec) in _per_table(points, _render_values):
+    fragments = [",".join(header)]
+    extend = fragments.extend
+    for point, (exact, dec) in _per_table(points, _csv_fields):
         ranks = point.ranks
-        lines.append("%s,%s,%s,%s" % (point.kind, point_provenance(point),
-                                      ",".join([exact[r] for r in ranks]),
-                                      ",".join([dec[r] for r in ranks])))
-    return "\n".join(lines) + "\n"
+        extend(("\n", point.kind, ",", point_provenance(point)))
+        extend(map(exact.__getitem__, ranks))
+        extend(map(dec.__getitem__, ranks))
+    fragments.append("\n")
+    return "".join(fragments)
 
 
 _SVG_SIZE = 760
@@ -539,7 +561,9 @@ def emit_svg(points: Sequence[SpectrumPoint], n: int) -> str:
     """Unit square (n=2) or projected unit cube (n=3) with the point set.
 
     Interior points are filled dots, boundary points open squares.  Output
-    is byte-deterministic for a fixed input order.
+    is byte-deterministic for a fixed input order.  As in :func:`emit_csv`,
+    the text is one join over shared fragments (markup and memoised pixel
+    texts) and one provenance string per point, closing newline included.
     """
     check_svg_dimension(n)
     span = Fraction(1) if n == 2 else Fraction(7, 5)
@@ -569,19 +593,21 @@ def emit_svg(points: Sequence[SpectrumPoint], n: int) -> str:
         lines.append('<line x1="%s" y1="%s" x2="%s" y2="%s" '
                      'stroke="#888888" stroke-width="1"/>'
                      % (_fmt2(x1), _fmt2(y1), _fmt2(x2), _fmt2(y2)))
+    fragments = ["\n".join(lines)]
+    extend = fragments.extend
     for point, (x_texts, y_texts) in _per_table(
             points, lambda table: _pixel_texts(table, n, scale)):
         ranks = point.ranks
         x_text, y_text = x_texts[ranks[:n - 1]], y_texts[ranks[1:]]
         kind = point.kind
         if kind == INTERIOR:
-            lines.append('<circle cx="%s" cy="%s" r="4" fill="#c0392b">'
-                         '<title>%s %s</title></circle>'
-                         % (x_text[0], y_text[0], kind, point_provenance(point)))
+            extend(('\n<circle cx="', x_text[0], '" cy="', y_text[0],
+                    '" r="4" fill="#c0392b"><title>', kind, " ", point_provenance(point),
+                    "</title></circle>"))
         else:
-            lines.append('<rect x="%s" y="%s" width="8" height="8" fill="none" '
-                         'stroke="#2c3e50" stroke-width="1.5">'
-                         '<title>%s %s</title></rect>'
-                         % (x_text[1], y_text[1], kind, point_provenance(point)))
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+            extend(('\n<rect x="', x_text[1], '" y="', y_text[1],
+                    '" width="8" height="8" fill="none" stroke="#2c3e50" '
+                    'stroke-width="1.5"><title>', kind, " ", point_provenance(point),
+                    "</title></rect>"))
+    fragments.append("\n</svg>\n")
+    return "".join(fragments)

@@ -463,10 +463,11 @@ def spectrum_suite(n: int, max_degree: int, c: Fraction) -> dict:
     exact_failures: List[dict] = []
     for point in interior:
         mu = point.provenance[0]
+        coords = point.coords
         for k in range(1, n + 1):
             r = r_value(mu, k)
-            if not (0 <= r <= n * max_degree) or point.coords[k - 1] != 1 - cfg.c ** r \
-                    or point.coords[k - 1] == 1:
+            if not (0 <= r <= n * max_degree) or coords[k - 1] != 1 - cfg.c ** r \
+                    or coords[k - 1] == 1:
                 exact_failures.append({"mu": list(mu), "k": k})
     checks.append(_check("interior-coordinates-exact", len(interior) * n,
                          len(exact_failures),
@@ -513,10 +514,10 @@ def spectrum_suite(n: int, max_degree: int, c: Fraction) -> dict:
     for point in boundary:
         pattern = point.provenance[0]
         k = pattern.pivot
-        ok = point.coords[k - 1] == 1
-        ok = ok and all(point.coords[j] in (Fraction(0), Fraction(1))
-                        for j in range(k - 1))
-        ok = ok and all(point.coords[j] != 1 for j in range(k, n))
+        coords = point.coords
+        ok = coords[k - 1] == 1
+        ok = ok and all(coords[j] in (Fraction(0), Fraction(1)) for j in range(k - 1))
+        ok = ok and all(coords[j] != 1 for j in range(k, n))
         if not ok:
             structural_failures.append({"pattern": k})
     checks.append(_check("boundary-point-shape", len(boundary),

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+from wmfock import cli
+
 CLI = [sys.executable, "-m", "wmfock.cli"]
 
 
@@ -132,3 +134,30 @@ def test_jobs_flag_produces_identical_report():
                        "--jobs", "3")
     assert sequential.returncode == parallel.returncode == 0
     assert sequential.stdout == parallel.stdout
+
+
+def test_write_output_slices_keep_the_utf8_bytes(tmp_path, capsysbinary, monkeypatch):
+    size = cli._WRITE_SLICE
+    # the three bytes of the euro sign straddle the first byte boundary at
+    # ``size``; the text is longer than two slices
+    text = "a" * (size - 1) + "\u20ac" + "\u00e9" * size + "\nb\n"
+    assert len(text) > 2 * size
+    want = text.encode("utf-8")
+    path = tmp_path / "out.txt"
+    cli._write_output(text, str(path))
+    assert path.read_bytes() == want
+    cli._write_output(text, None)
+    assert capsysbinary.readouterr().out == want
+
+    class Recorder:
+        def __init__(self):
+            self.parts = []
+
+        def write(self, part):
+            self.parts.append(part)
+
+    recorder = Recorder()
+    monkeypatch.setattr(sys, "stdout", recorder)
+    cli._write_output(text, None)
+    assert "".join(recorder.parts) == text
+    assert max(map(len, recorder.parts)) == size

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from wmfock.spectrum import (BOUNDARY, INTERIOR, BoundaryPattern, FunctionalKey,
                              _fmt2, _pixel, _project, _ratio2,
                              boundary_convergence_report, boundary_patterns,
                              boundary_points, coordinate_values, decimal15, embed,
-                             embed_coords, emit_csv, emit_svg, enumerate_spectrum,
+                             emit_csv, emit_svg, enumerate_spectrum,
                              functional_apply, interior_points, point_provenance,
                              r_value, render_provenance, verify_multiplicativity)
 from wmfock.fock import indices_up_to
@@ -35,9 +36,9 @@ def test_r_value_formula():
 
 
 def test_embed_examples():
-    assert embed_coords((1, 1), HALF) == (Fraction(3, 4), HALF)
-    assert embed_coords((0, 0), HALF) == (Fraction(0), Fraction(0))
-    assert embed_coords((2, 0), HALF) == (Fraction(3, 4), Fraction(0))
+    assert embed((1, 1), HALF).coords == (Fraction(3, 4), HALF)
+    assert embed((0, 0), HALF).coords == (Fraction(0), Fraction(0))
+    assert embed((2, 0), HALF).coords == (Fraction(3, 4), Fraction(0))
     point = embed((2, 1), HALF)
     assert point.kind == INTERIOR and point.coords == (Fraction(7, 8), HALF)
 
@@ -336,7 +337,8 @@ def _svg_reference(points, n):
 def _check_against_references(cfg):
     indices = indices_up_to(cfg.n, cfg.max_degree)
     interior = interior_points(cfg)
-    assert [p.coords for p in interior] == [embed_coords(mu, cfg.c) for mu in indices]
+    assert [p.coords for p in interior] == [
+        tuple(1 - cfg.c ** r_value(mu, k) for k in range(1, cfg.n + 1)) for mu in indices]
     assert interior == [embed(mu, cfg.c) for mu in indices]
     points = enumerate_spectrum(cfg)
     assert emit_csv(points, cfg.n) == _csv_reference(points, cfg.n)
@@ -387,6 +389,21 @@ def test_emitters_accept_points_of_many_tables(n):
     lazy = (embed(mu, Fraction(k, 13)) for mu in indices_up_to(n, 4) for k in (2, 3, 5))
     eager = [embed(mu, Fraction(k, 13)) for mu in indices_up_to(n, 4) for k in (2, 3, 5)]
     assert emit_csv(lazy, n) == _csv_reference(eager, n)
+
+
+@pytest.mark.parametrize("emit", [emit_csv, emit_svg])
+def test_emission_holds_the_text_once(emit):
+    # the fragments and the text they join into peak at 2.1-2.8 times the
+    # text on CPython 3.10-3.13; a second whole copy of the text adds 1
+    points = enumerate_spectrum(SpectrumConfig(3, 30, Fraction(1, 3)))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        text = emit(points, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 3.0 * len(text)
 
 
 # SHA-256 of the datasets, recorded before the emitters were memoised and

@@ -7,7 +7,7 @@ from operator import matmul
 
 import pytest
 
-from wmfock import suites
+from wmfock import spectrum, suites
 from wmfock.fock import TruncationParams, column_map, indices_up_to
 from wmfock.sparse import PhaseMatrix
 from wmfock.suites import (SUITE_NAMES, ck_suite, gauge_suite, masa_suite,
@@ -214,6 +214,17 @@ def test_spectrum_suite_carries_vertex_note():
     vertices = next(c for c in report["checks"] if c["name"] == "vertices-classified")
     assert vertices["failures"] == 0
     assert "all-zero vertex" in vertices["note"]
+
+
+def test_boundary_limits_catch_a_shifted_powers_table(monkeypatch):
+    # every coordinate read one power of c too far: the limits, taken from
+    # coordinate_values, must no longer match
+    powers = spectrum._powers
+    monkeypatch.setattr(spectrum, "_powers", lambda c, top: powers(c, top + 1)[1:])
+    report = spectrum_suite(2, 3, HALF)
+    limits = next(c for c in report["checks"] if c["name"] == "boundary-limits-monotone")
+    assert limits["failures"] > 0
+    assert set(limits["firstFailure"]) == {"pattern", "p"}
 
 
 def test_gauge_suite_counts_deviations():
