@@ -137,7 +137,7 @@ def _cmd_spectrum(args) -> int:
     cfg = SpectrumConfig(args.n, args.max_degree, args.c)
     if args.format == "svg":
         check_svg_dimension(cfg.n)  # before the enumeration, which may be long
-    points = enumerate_spectrum(cfg)
+    points = enumerate_spectrum(cfg)  # a stream, read once by the emitter
     if args.format == "csv":
         text = emit_csv(points, cfg.n)
     else:

@@ -86,18 +86,22 @@ def _compositions(total: int, parts: int) -> Iterator[MultiIndex]:
             yield rest + (top,)
 
 
+def iter_indices(n: int, cap: int) -> Iterator[MultiIndex]:
+    """All count vectors over ``n`` letters of degree ``<= cap``, graded,
+    made one at a time: the one definition of the basis order."""
+    for d in range(cap + 1):
+        yield from _compositions(d, n)
+
+
 def indices_up_to(n: int, cap: int) -> List[MultiIndex]:
     """All count vectors over ``n`` letters of degree ``<= cap``, graded."""
-    out: List[MultiIndex] = []
-    for d in range(cap + 1):
-        out.extend(_compositions(d, n))
-    return out
+    return list(iter_indices(n, cap))
 
 
 @lru_cache(maxsize=None)
 def enumerate_basis(params: TruncationParams) -> Tuple[MultiIndex, ...]:
     """All count vectors of degree ``<= max_degree`` in graded order."""
-    return tuple(indices_up_to(params.n, params.max_degree))
+    return tuple(iter_indices(params.n, params.max_degree))
 
 
 @lru_cache(maxsize=None)

@@ -26,8 +26,9 @@ forms no linear combinations; those exist only for order-1 maps, built by
 :meth:`~wmfock.sparse.SparseOp.from_terms`.
 
 Each gauge unitary is built, and checked unitary, once per
-``(rep, w mod K, variant)`` in a bounded cache; covariance and group-law
-checks that ask for it again get the same object.
+``(rep, w mod K, variant)`` in a bounded cache, and keeps the adjoint that
+check built; covariance and group-law checks that ask for it again get the
+same object.
 """
 
 from __future__ import annotations
@@ -129,9 +130,12 @@ def bundle_operator(rep: BundleRep, index: int) -> PhaseMatrix:
 
 @dataclass(frozen=True, eq=False)
 class GaugeUnitary:
+    """A gauge unitary with the adjoint its unitarity check built."""
+
     variant: str
     phase: CirclePhase
     matrix: PhaseMatrix
+    adjoint: PhaseMatrix
 
 
 def gauge_unitary(rep: BundleRep, w: int, variant: str) -> GaugeUnitary:
@@ -168,9 +172,10 @@ def _build_unitary(rep: BundleRep, w: int, variant: str) -> GaugeUnitary:
     # every block scales by conj(w)**degree alike
     phase = [-w * d for d in basis_degrees(rep.params)] * K
     matrix = PhaseMatrix(image, K, phase)
-    if matrix @ matrix.adjoint() != PhaseMatrix.identity(rep.dim, K):
+    adjoint = matrix.adjoint()
+    if matrix @ adjoint != PhaseMatrix.identity(rep.dim, K):
         raise AssertionError("gauge unitary failed the exact unitarity check")
-    return GaugeUnitary(variant, CirclePhase(K, w), matrix)
+    return GaugeUnitary(variant, CirclePhase(K, w), matrix, adjoint)
 
 
 @dataclass
@@ -184,7 +189,7 @@ def check_covariance(rep: BundleRep, index: int, w: int, variant: str) -> Covari
     """Compare U b_i U* against w b_i entry by entry, exactly."""
     unitary = gauge_unitary(rep, w, variant)
     beta = bundle_operator(rep, index)
-    lhs = unitary.matrix @ beta @ unitary.matrix.adjoint()
+    lhs = unitary.matrix @ beta @ unitary.adjoint
     rhs = beta.scaled(w % rep.roots)
     failures = []
     for row, col, got, want in lhs.mismatches(rhs):

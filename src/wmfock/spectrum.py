@@ -17,6 +17,12 @@ table it indexes, which every point of one enumeration shares; its exact
 Fraction coordinates are read from the table on demand.  Ranks order, group
 and key points exactly as their coordinates would.
 
+The dataset is a stream.  :func:`enumerate_spectrum` yields the interior
+points one at a time as :func:`wmfock.fock.iter_indices` walks the indices
+degree by degree, then the boundary points, and the emitters read each
+point once and keep only the strings they join, so no list of points is
+held while the dataset is written.
+
 Emission works on ranks.  The CSV emitter renders each table value once,
 as an exact fraction and as 15 significant decimal digits (round half to
 even, by integer arithmetic).  The SVG emitter writes the table over one
@@ -37,8 +43,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
-from .fock import (MultiIndex, TruncationParams, _compositions, enumerate_basis,
-                   indices_up_to)
+from .fock import MultiIndex, indices_up_to, iter_indices
 from .sparse import frac_str
 from .words import ProductResult, precedes, projection_product
 
@@ -131,12 +136,8 @@ def embed(mu: MultiIndex, c: Fraction) -> SpectrumPoint:
     return SpectrumPoint(ranks, _value_table(c, sum(mu)), INTERIOR, (mu,))
 
 
-def _tails(parts: int, cap: int) -> Iterator[Tuple[int, ...]]:
-    if parts == 0:
-        yield ()
-        return
-    for d in range(cap + 1):
-        yield from _compositions(d, parts)
+def _tails(parts: int, cap: int) -> Iterable[Tuple[int, ...]]:
+    return iter_indices(parts, cap) if parts else ((),)
 
 
 def boundary_patterns(cfg: SpectrumConfig) -> List[BoundaryPattern]:
@@ -181,23 +182,22 @@ def boundary_ranks(pattern: BoundaryPattern, cfg: SpectrumConfig) -> Tuple[int, 
             + tuple(r_value(padded, j) for j in range(pattern.pivot + 1, cfg.n + 1)))
 
 
-def interior_points(cfg: SpectrumConfig) -> List[SpectrumPoint]:
-    """The images of the indices of degree ``<= max_degree``, in graded order.
+def interior_points(cfg: SpectrumConfig) -> Iterator[SpectrumPoint]:
+    """The images of the indices of degree ``<= max_degree``, made one at a
+    time in graded order as :func:`wmfock.fock.iter_indices` walks them.
 
     Equal to ``embed`` on every index; every point indexes the one
     :func:`coordinate_values` table of ``cfg``.
     """
     values = coordinate_values(cfg)
-    points = []
-    for mu in enumerate_basis(TruncationParams(cfg.n, cfg.max_degree)):
+    for mu in iter_indices(cfg.n, cfg.max_degree):
         ranks = []
         tail = 0  # r_k = mu_k + ... + mu_n when mu_k > 0, read right to left
         for m in reversed(mu):
             tail += m
             ranks.append(tail if m else 0)
         ranks.reverse()
-        points.append(SpectrumPoint(tuple(ranks), values, INTERIOR, (mu,)))
-    return points
+        yield SpectrumPoint(tuple(ranks), values, INTERIOR, (mu,))
 
 
 def boundary_points(cfg: SpectrumConfig) -> List[SpectrumPoint]:
@@ -211,9 +211,15 @@ def boundary_points(cfg: SpectrumConfig) -> List[SpectrumPoint]:
             for ranks, patterns in sorted(by_ranks.items())]
 
 
-def enumerate_spectrum(cfg: SpectrumConfig) -> List[SpectrumPoint]:
-    """Interior points in graded index order, then boundary points by coords."""
-    return interior_points(cfg) + boundary_points(cfg)
+def enumerate_spectrum(cfg: SpectrumConfig) -> Iterator[SpectrumPoint]:
+    """Interior points in graded index order, then boundary points by coords.
+
+    A one-shot stream: each interior point is made when it is asked for, so
+    no list of them is held; the boundary points, a small set that must be
+    grouped and sorted, are built when the interior is exhausted.
+    """
+    yield from interior_points(cfg)
+    yield from boundary_points(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +426,11 @@ def _index_format(length: int) -> str:
 
 
 def point_provenance(point: SpectrumPoint) -> str:
-    return "|".join(map(render_provenance, point.provenance))
+    provenance = point.provenance
+    if point.kind == INTERIOR and len(provenance) == 1:
+        mu = provenance[0]
+        return _index_format(len(mu)) % mu
+    return "|".join(map(render_provenance, provenance))
 
 
 _State = TypeVar("_State")
@@ -452,13 +462,14 @@ def _csv_fields(table: Sequence[Fraction]) -> Tuple[List[str], List[str]]:
     return ["," + frac_str(x) for x in table], ["," + decimal15(x) for x in table]
 
 
-def emit_csv(points: Sequence[SpectrumPoint], n: int) -> str:
+def emit_csv(points: Iterable[SpectrumPoint], n: int) -> str:
     """The dataset as CSV: a header, then one row per point.
 
-    The text is one join over shared fragments: the kind, the separators and
-    the per-table field strings, with one provenance string per point.  No
-    row string is built, and the closing newline is the last fragment, so
-    the text is never copied whole.
+    ``points`` is read once, so a stream such as :func:`enumerate_spectrum`
+    is never held whole.  The text is one join over shared fragments: the
+    kind, the separators and the per-table field strings, with one
+    provenance string per point.  No row string is built, and the closing
+    newline is the last fragment, so the text is never copied whole.
     """
     header = ["kind", "provenance"]
     header.extend("x%d" % k for k in range(1, n + 1))
@@ -557,13 +568,14 @@ def check_svg_dimension(n: int) -> None:
         raise ValueError("svg emission supports n = 2 or 3 only; use csv")
 
 
-def emit_svg(points: Sequence[SpectrumPoint], n: int) -> str:
+def emit_svg(points: Iterable[SpectrumPoint], n: int) -> str:
     """Unit square (n=2) or projected unit cube (n=3) with the point set.
 
     Interior points are filled dots, boundary points open squares.  Output
-    is byte-deterministic for a fixed input order.  As in :func:`emit_csv`,
-    the text is one join over shared fragments (markup and memoised pixel
-    texts) and one provenance string per point, closing newline included.
+    is byte-deterministic for a fixed input order, and ``points`` is read
+    once.  As in :func:`emit_csv`, the text is one join over shared
+    fragments (markup and memoised pixel texts) and one provenance string
+    per point, closing newline included.
     """
     check_svg_dimension(n)
     span = Fraction(1) if n == 2 else Fraction(7, 5)

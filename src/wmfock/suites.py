@@ -456,14 +456,18 @@ _NAMED_INTERIOR = {  # (r1, r2) exponent patterns of the worked n=2, c=1/2 displ
 
 def spectrum_suite(n: int, max_degree: int, c: Fraction) -> dict:
     cfg = SpectrumConfig(n, max_degree, c)
-    interior = interior_points(cfg)
+    interior = list(interior_points(cfg))
     boundary = boundary_points(cfg)
+    # coordinates are read from the shared table, once per point
+    interior_coords = [point.coords for point in interior]
+    boundary_coords = [point.coords for point in boundary]
+    interior_coord_set = set(interior_coords)
+    boundary_coord_set = set(boundary_coords)
     checks: List[dict] = []
 
     exact_failures: List[dict] = []
-    for point in interior:
+    for point, coords in zip(interior, interior_coords):
         mu = point.provenance[0]
-        coords = point.coords
         for k in range(1, n + 1):
             r = r_value(mu, k)
             if not (0 <= r <= n * max_degree) or coords[k - 1] != 1 - cfg.c ** r \
@@ -481,22 +485,20 @@ def spectrum_suite(n: int, max_degree: int, c: Fraction) -> dict:
             expected.add((Fraction(0), 1 - cfg.c ** r2))
             for r1 in range(r2 + 1, max_degree + 1):
                 expected.add((1 - cfg.c ** r1, 1 - cfg.c ** r2))
-        got = {point.coords for point in interior}
-        ok = got == expected
+        ok = interior_coord_set == expected
         checks.append(_check("interior-matches-pattern-oracle", len(expected),
                              0 if ok else 1,
-                             None if ok else {"missing": len(expected - got),
-                                              "extra": len(got - expected)}))
+                             None if ok else {"missing": len(expected - interior_coord_set),
+                                              "extra": len(interior_coord_set - expected)}))
         if cfg.c == Fraction(1, 2):
             named = [(1 - cfg.c ** r1, 1 - cfg.c ** r2)
                      for (r1, r2) in sorted(_NAMED_INTERIOR)
                      if max(r1, r2) <= max_degree]
-            missing = [coords for coords in named if coords not in got]
+            missing = [coords for coords in named if coords not in interior_coord_set]
             checks.append(_check("worked-display-interior-points", len(named),
                                  len(missing),
                                  {"coords": [frac_str(x) for x in missing[0]]}
                                  if missing else None))
-            boundary_got = {point.coords for point in boundary}
             named_boundary = [(Fraction(1), Fraction(0)),
                               (Fraction(1), Fraction(1, 2)),
                               (Fraction(1), Fraction(3, 4)),
@@ -504,17 +506,15 @@ def spectrum_suite(n: int, max_degree: int, c: Fraction) -> dict:
                               (Fraction(1), Fraction(1))]
             named_boundary = [bc for bc in named_boundary
                               if bc != (Fraction(1), Fraction(3, 4)) or max_degree >= 2]
-            bmissing = [bc for bc in named_boundary if bc not in boundary_got]
+            bmissing = [bc for bc in named_boundary if bc not in boundary_coord_set]
             checks.append(_check("worked-display-boundary-points", len(named_boundary),
                                  len(bmissing),
                                  {"coords": [frac_str(x) for x in bmissing[0]]}
                                  if bmissing else None))
 
     structural_failures: List[dict] = []
-    for point in boundary:
-        pattern = point.provenance[0]
-        k = pattern.pivot
-        coords = point.coords
+    for point, coords in zip(boundary, boundary_coords):
+        k = point.provenance[0].pivot
         ok = coords[k - 1] == 1
         ok = ok and all(coords[j] in (Fraction(0), Fraction(1)) for j in range(k - 1))
         ok = ok and all(coords[j] != 1 for j in range(k, n))
@@ -525,8 +525,6 @@ def spectrum_suite(n: int, max_degree: int, c: Fraction) -> dict:
                          structural_failures[0] if structural_failures else None))
 
     vertex_failures: List[dict] = []
-    boundary_coord_set = {point.coords for point in boundary}
-    interior_coord_set = {point.coords for point in interior}
     for bits in cartesian((0, 1), repeat=n):
         vertex = tuple(Fraction(b) for b in bits)
         if any(bits):

@@ -1,8 +1,11 @@
 """Command-line interface: output conventions and the exit-code contract."""
 
+import hashlib
 import json
 import subprocess
 import sys
+
+import pytest
 
 from wmfock import cli
 
@@ -82,6 +85,33 @@ def test_spectrum_svg_rejects_dimension_before_enumerating(monkeypatch, capsys):
     argv = ["spectrum", "--format", "svg", "--n", "4", "--max-degree", "40"]
     assert wmfock.cli.main(argv) == 2
     assert "svg emission supports n = 2 or 3 only; use csv" in capsys.readouterr().err
+
+
+# the (2, 20, 5/7) golden digests of tests/test_spectrum.py
+_SPECTRUM_DIGESTS = {
+    "csv": "02036d8656db95b3b400d8ac2f84864603c624e8f3882b812df1a1377cf8c1b3",
+    "svg": "da4fd8dceabe2c705a34151e74f6a4a8271bce368f5e1076fc7a62892caf958c",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_SPECTRUM_DIGESTS))
+def test_spectrum_streams_the_points_into_the_emitter(tmp_path, monkeypatch, fmt):
+    name = "emit_" + fmt
+    emit = getattr(cli, name)
+    received = []
+
+    def spy(points, n):
+        received.append(points)
+        return emit(points, n)
+
+    monkeypatch.setattr(cli, name, spy)
+    out = tmp_path / ("points." + fmt)
+    argv = ["spectrum", "--n", "2", "--max-degree", "20", "--c", "5/7",
+            "--format", fmt, "--out", str(out)]
+    assert cli.main(argv) == 0
+    points, = received
+    assert not isinstance(points, (list, tuple)) and iter(points) is points
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _SPECTRUM_DIGESTS[fmt]
 
 
 def test_spectrum_svg(tmp_path):

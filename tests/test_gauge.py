@@ -56,6 +56,24 @@ def test_gauge_unitary_is_unitary_and_variants_differ():
         gauge_unitary(rep, 1, BLOCK_SHIFT_UNITARY).matrix
 
 
+def test_covariance_reuses_the_adjoint_of_the_cached_unitary(monkeypatch):
+    rep = build_bundle(TruncationParams(2, 3), 4)
+    for variant in (PAPER_UNITARY, BLOCK_SHIFT_UNITARY):
+        for w in range(4):
+            u = gauge_unitary(rep, w, variant)
+            assert u.adjoint == u.matrix.adjoint()
+            assert u.matrix @ u.adjoint == PhaseMatrix.identity(rep.dim, 4)
+    built = []
+    adjoint = PhaseMatrix.adjoint
+    monkeypatch.setattr(PhaseMatrix, "adjoint",
+                        lambda self: built.append(self) or adjoint(self))
+    for variant in (PAPER_UNITARY, BLOCK_SHIFT_UNITARY):
+        for i in range(3):
+            for w in range(4):
+                check_covariance(rep, i, w, variant)
+    assert built == []
+
+
 def test_paper_unitary_scales_by_degree_and_shifts_vacua():
     params = TruncationParams(2, 3)
     rep = build_bundle(params, 4)

@@ -16,7 +16,7 @@ from wmfock.spectrum import (BOUNDARY, INTERIOR, BoundaryPattern, FunctionalKey,
                              emit_csv, emit_svg, enumerate_spectrum,
                              functional_apply, interior_points, point_provenance,
                              r_value, render_provenance, verify_multiplicativity)
-from wmfock.fock import indices_up_to
+from wmfock.fock import TruncationParams, enumerate_basis, indices_up_to
 from wmfock.sparse import frac_str
 from wmfock.words import ProductResult
 
@@ -87,7 +87,7 @@ def test_points_compare_by_coordinates_across_tables():
 
 def test_interior_count_is_stars_and_bars():
     cfg = SpectrumConfig(2, 3, HALF)
-    assert len(interior_points(cfg)) == 10  # C(5,2), brute count in test_fock
+    assert len(list(interior_points(cfg))) == 10  # C(5,2), brute count in test_fock
 
 
 def test_interior_has_no_coordinate_one():
@@ -125,8 +125,8 @@ def test_one_enumeration_shares_one_table():
 
 def test_enumeration_is_deterministic_and_deduplicated():
     cfg = SpectrumConfig(2, 4, HALF)
-    first = enumerate_spectrum(cfg)
-    second = enumerate_spectrum(cfg)
+    first = list(enumerate_spectrum(cfg))
+    second = list(enumerate_spectrum(cfg))
     assert [(p.coords, p.kind) for p in first] == [(p.coords, p.kind) for p in second]
     boundary_coords = [p.coords for p in first if p.kind == BOUNDARY]
     assert len(boundary_coords) == len(set(boundary_coords))
@@ -270,11 +270,11 @@ def test_csv_empty_is_header_only():
 
 def test_svg_n2_well_formed_and_deterministic():
     cfg = SpectrumConfig(2, 3, HALF)
-    points = enumerate_spectrum(cfg)
+    points = list(enumerate_spectrum(cfg))
     svg = emit_svg(points, 2)
     assert svg == emit_svg(points, 2)
     assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
-    assert svg.count("<circle") == len(interior_points(cfg))
+    assert svg.count("<circle") == len(list(interior_points(cfg)))
     assert svg.count("<rect x=") == len(boundary_points(cfg))
     # no interior dot may sit on the top edge (y = 1 maps to pixel 40)
     for line in svg.splitlines():
@@ -336,13 +336,36 @@ def _svg_reference(points, n):
 
 def _check_against_references(cfg):
     indices = indices_up_to(cfg.n, cfg.max_degree)
-    interior = interior_points(cfg)
+    interior = list(interior_points(cfg))
     assert [p.coords for p in interior] == [
         tuple(1 - cfg.c ** r_value(mu, k) for k in range(1, cfg.n + 1)) for mu in indices]
     assert interior == [embed(mu, cfg.c) for mu in indices]
-    points = enumerate_spectrum(cfg)
+    points = list(enumerate_spectrum(cfg))
     assert emit_csv(points, cfg.n) == _csv_reference(points, cfg.n)
     assert emit_svg(points, cfg.n) == _svg_reference(points, cfg.n)
+
+
+@pytest.mark.parametrize("n,degree", [(2, 12), (3, 10), (4, 6)])
+def test_interior_stream_follows_the_basis_order(n, degree):
+    cfg = SpectrumConfig(n, degree, Fraction(3, 7))
+    stream = interior_points(cfg)
+    assert iter(stream) is stream
+    points = list(stream)
+    basis = enumerate_basis(TruncationParams(n, degree))
+    assert [p.provenance for p in points] == [(mu,) for mu in basis]
+    assert points == [embed(mu, cfg.c) for mu in basis]
+    assert all(p.table is coordinate_values(cfg) for p in points)
+
+
+@pytest.mark.parametrize("n,degree", [(2, 12), (3, 10)])
+def test_emitters_read_a_one_shot_stream(n, degree):
+    cfg = SpectrumConfig(n, degree, Fraction(3, 7))
+    points = list(enumerate_spectrum(cfg))
+    for emit in (emit_csv, emit_svg):
+        stream = enumerate_spectrum(cfg)
+        assert iter(stream) is stream and not isinstance(stream, (list, tuple))
+        assert emit(stream, n) == emit(points, n)
+        assert next(stream, None) is None  # read through, once
 
 
 @pytest.mark.parametrize("c", [HALF, Fraction(3, 7), Fraction(5, 7)])
@@ -429,7 +452,7 @@ GOLDEN_DIGESTS = {
 
 @pytest.mark.parametrize("n,degree,c", sorted(GOLDEN_DIGESTS))
 def test_dataset_golden_digests(n, degree, c):
-    points = enumerate_spectrum(SpectrumConfig(n, degree, c))
+    points = list(enumerate_spectrum(SpectrumConfig(n, degree, c)))
     digests = tuple(hashlib.sha256(emit(points, n).encode("utf-8")).hexdigest()
                     for emit in (emit_csv, emit_svg))
     assert digests == GOLDEN_DIGESTS[(n, degree, c)]
