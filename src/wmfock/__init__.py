@@ -7,13 +7,12 @@ and gauge-covariance checks over sampled roots of unity -- every symbolic
 rule validated against a brute-force matrix oracle, all arithmetic exact.
 """
 
-from .fock import (CheckResult, GuardedIdentity, MultiIndex, TruncationParams,
-                   check_guarded_identity, enumerate_basis)
-from .gauge import (BLOCK_SHIFT_UNITARY, PAPER_UNITARY, BundleRep, CirclePhase,
-                    build_bundle, check_covariance, check_quotient_relation,
-                    gauge_unitary, vacuum_operator_spectrum)
-from .masa import (DiagonalOp, expectation, expectation_of_monomial,
-                   rank_one_projection)
+from .fock import (CheckResult, MultiIndex, TruncationParams, check_guarded_identity,
+                   enumerate_basis)
+from .gauge import (BLOCK_SHIFT_UNITARY, PAPER_UNITARY, BundleRep, build_bundle,
+                    check_covariance, check_quotient_relation, gauge_unitary,
+                    vacuum_operator_spectrum)
+from .masa import expectation, expectation_of_monomial, rank_one_projection
 from .sparse import PhaseMatrix, SparseOp, frac_str
 from .spectrum import (FunctionalKey, SpectrumConfig, SpectrumPoint, embed,
                        emit_csv, emit_svg, enumerate_spectrum,
@@ -25,9 +24,8 @@ from .words import (GeneratorSymbol, NormalForm, NormalMonomial, ProductResult,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BLOCK_SHIFT_UNITARY", "BundleRep", "CheckResult", "CirclePhase",
-    "DiagonalOp", "FunctionalKey", "GeneratorSymbol",
-    "GuardedIdentity", "MultiIndex", "NormalForm", "NormalMonomial",
+    "BLOCK_SHIFT_UNITARY", "BundleRep", "CheckResult", "FunctionalKey",
+    "GeneratorSymbol", "MultiIndex", "NormalForm", "NormalMonomial",
     "PAPER_UNITARY", "PhaseMatrix", "ProductResult", "SparseOp",
     "SpectrumConfig", "SpectrumPoint", "TruncationParams", "Word",
     "build_bundle", "check_covariance", "check_guarded_identity",

@@ -25,14 +25,14 @@ from .spectrum import (SpectrumConfig, check_svg_dimension, emit_csv, emit_svg,
 from .words import (GeneratorIndexError, WordSyntaxError, creation_guard,
                     evaluate, evaluate_word, parse_word, rewrite)
 
-_RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
+_RATIONAL = re.compile(r"^-?\d+(/0*[1-9]\d*)?$")  # no zero denominator
 
 
 def _fraction_arg(text: str) -> Fraction:
     # only p/q or integer text; decimal input would smuggle in inexactness
     if not _RATIONAL.match(text):
         raise argparse.ArgumentTypeError(
-            "rationals must be written as p/q or as an integer, got %r" % text)
+            "rationals must be written as p/q with q > 0 or as an integer, got %r" % text)
     return Fraction(text)
 
 

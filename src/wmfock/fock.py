@@ -147,31 +147,6 @@ def column_map(params: TruncationParams, index: int, starred: bool) -> PhaseMatr
     return PhaseMatrix(out)
 
 
-@dataclass(frozen=True, eq=False)
-class GuardedIdentity:
-    """A claimed operator identity together with its truncation guard.
-
-    ``guard`` is the maximal intermediate creation excursion of the words
-    realized by either side; the identity is asserted only on basis vectors
-    of degree ``<= max_degree - guard``, where truncated creators act
-    exactly like their untruncated counterparts.
-    """
-
-    params: TruncationParams
-    lhs: SparseOp
-    rhs: SparseOp
-    guard: int
-
-    def __post_init__(self) -> None:
-        if self.lhs.dim != self.rhs.dim:
-            raise ValueError("dimension mismatch between sides: %d vs %d"
-                             % (self.lhs.dim, self.rhs.dim))
-        if self.lhs.dim != self.params.basis_size:
-            raise ValueError("operators not built over the given parameters")
-        if not 0 <= self.guard <= self.params.max_degree:
-            raise ValueError("guard must lie in 0..max_degree")
-
-
 @dataclass
 class CheckResult:
     """Outcome of a guarded identity check.
@@ -182,19 +157,30 @@ class CheckResult:
     """
 
     ok: bool
-    guard: int
     columns_checked: int
     first_failure: Optional[dict] = None
     truncation_artifact: bool = False
 
 
-def check_guarded_identity(identity: GuardedIdentity) -> CheckResult:
-    """Compare both sides column-by-column on the guarded subspace."""
-    params = identity.params
-    cutoff = params.degree_prefix(params.max_degree - identity.guard)
+def check_guarded_identity(params: TruncationParams, lhs: SparseOp, rhs: SparseOp,
+                           guard: int) -> CheckResult:
+    """Compare both sides column-by-column on the guarded subspace.
+
+    ``guard`` is the maximal intermediate creation excursion of the words
+    realized by either side; the identity is asserted only on basis vectors
+    of degree ``<= max_degree - guard``, where truncated creators act
+    exactly like their untruncated counterparts.
+    """
+    if lhs.dim != rhs.dim:
+        raise ValueError("dimension mismatch between sides: %d vs %d" % (lhs.dim, rhs.dim))
+    if lhs.dim != params.basis_size:
+        raise ValueError("operators not built over the given parameters")
+    if not 0 <= guard <= params.max_degree:
+        raise ValueError("guard must lie in 0..max_degree")
+    cutoff = params.degree_prefix(params.max_degree - guard)
     basis = enumerate_basis(params)
-    lhs_cols = identity.lhs.columns()
-    rhs_cols = identity.rhs.columns()
+    lhs_cols = lhs.columns()
+    rhs_cols = rhs.columns()
     first_failure = None
     for col in range(cutoff):
         left = lhs_cols.get(col, {})
@@ -209,7 +195,7 @@ def check_guarded_identity(identity: GuardedIdentity) -> CheckResult:
             if lhs_cols.get(col, {}) != rhs_cols.get(col, {}):
                 artifact = True
                 break
-    return CheckResult(ok=ok, guard=identity.guard, columns_checked=cutoff,
+    return CheckResult(ok=ok, columns_checked=cutoff,
                        first_failure=first_failure, truncation_artifact=artifact)
 
 

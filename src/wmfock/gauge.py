@@ -46,30 +46,6 @@ _VARIANTS = (PAPER_UNITARY, BLOCK_SHIFT_UNITARY)
 
 
 @dataclass(frozen=True)
-class CirclePhase:
-    """An exact K-th root of unity, stored as an exponent modulo K."""
-
-    order: int
-    exponent: int
-
-    def __post_init__(self) -> None:
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
-        object.__setattr__(self, "exponent", self.exponent % self.order)
-
-    def __mul__(self, other: "CirclePhase") -> "CirclePhase":
-        if self.order != other.order:
-            raise ValueError("mixed phase orders %d and %d" % (self.order, other.order))
-        return CirclePhase(self.order, self.exponent + other.exponent)
-
-    def conjugate(self) -> "CirclePhase":
-        return CirclePhase(self.order, -self.exponent)
-
-    def __str__(self) -> str:
-        return "w^%d (K=%d)" % (self.exponent, self.order)
-
-
-@dataclass(frozen=True)
 class BundleRep:
     """Direct sum of K Fock blocks; block s carries the sample exp(2 pi i s/K)."""
 
@@ -130,10 +106,11 @@ def bundle_operator(rep: BundleRep, index: int) -> PhaseMatrix:
 
 @dataclass(frozen=True, eq=False)
 class GaugeUnitary:
-    """A gauge unitary with the adjoint its unitarity check built."""
+    """A gauge unitary for the root with exponent ``0 <= w < K``, with the
+    adjoint its unitarity check built."""
 
     variant: str
-    phase: CirclePhase
+    w: int
     matrix: PhaseMatrix
     adjoint: PhaseMatrix
 
@@ -175,7 +152,7 @@ def _build_unitary(rep: BundleRep, w: int, variant: str) -> GaugeUnitary:
     adjoint = matrix.adjoint()
     if matrix @ adjoint != PhaseMatrix.identity(rep.dim, K):
         raise AssertionError("gauge unitary failed the exact unitarity check")
-    return GaugeUnitary(variant, CirclePhase(K, w), matrix, adjoint)
+    return GaugeUnitary(variant, w, matrix, adjoint)
 
 
 @dataclass

@@ -15,8 +15,6 @@ asserted here; only its finite-rank ingredients are."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, Union
 
 from .fock import MultiIndex, TruncationParams, basis_index, bottom_letter
@@ -24,35 +22,15 @@ from .sparse import PhaseMatrix, SparseOp
 from .words import NormalForm, NormalMonomial
 
 
-@dataclass
-class DiagonalOp:
-    """A diagonal operator, stored as position -> nonzero rational."""
-
-    dim: int
-    diag: Dict[int, Fraction] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.diag = {pos: val for pos, val in self.diag.items() if val}
-
-    def as_operator(self) -> SparseOp:
-        op = SparseOp(self.dim)
-        op.entries = {(pos, pos): val for pos, val in self.diag.items()}
-        return op
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DiagonalOp):
-            return NotImplemented
-        return self.dim == other.dim and self.diag == other.diag
-
-
-def expectation(op: Union[SparseOp, PhaseMatrix]) -> DiagonalOp:
+def expectation(op: Union[SparseOp, PhaseMatrix]) -> SparseOp:
     """Conditional expectation onto the diagonal subalgebra.
 
     Keeps exactly the diagonal matrix entries of a combination or of a
-    word's order-1 map; idempotent, unital, linear, and positive (diagonal
-    entries of T*T are sums of squares).
+    word's order-1 map, as a diagonal :class:`SparseOp`; idempotent,
+    unital, linear, and positive (diagonal entries of T*T are sums of
+    squares).
     """
-    return DiagonalOp(op.dim, op.diagonal())
+    return SparseOp(op.dim, {(c, c): v for c, v in op.diagonal().items()})
 
 
 def expectation_of_monomial(monomial: NormalMonomial) -> NormalForm:

@@ -92,11 +92,7 @@ class SparseOp:
         return self.dim == other.dim and self.entries == other.entries
 
     def __repr__(self) -> str:
-        return "SparseOp(dim=%d, nnz=%d)" % (self.dim, len(self.entries))
-
-    @property
-    def nnz(self) -> int:
-        return len(self.entries)
+        return "SparseOp(dim=%d, entries=%d)" % (self.dim, len(self.entries))
 
     def _require_same_dim(self, other: "SparseOp") -> None:
         if self.dim != other.dim:
@@ -125,9 +121,6 @@ class SparseOp:
         result.entries = {(c, r): val for (r, c), val in self.entries.items()}
         return result
 
-    # all core scalars are real rationals, so the adjoint is the transpose
-    adjoint = transpose
-
     def columns(self) -> Dict[int, Dict[int, Scalar]]:
         out: Dict[int, Dict[int, Scalar]] = {}
         for (r, c), val in self.entries.items():
@@ -144,10 +137,6 @@ class SparseOp:
         result = SparseOp(self.dim)
         result.entries = {coord: val for coord, val in self.entries.items() if coord[1] < ncols}
         return result
-
-    def to_coords(self) -> list:
-        """Serialize as sorted ``[row, col, "p/q"]`` triples (JSON-friendly)."""
-        return [[r, c, frac_str(v)] for (r, c), v in sorted(self.entries.items())]
 
 
 class PhaseMatrix:

@@ -23,16 +23,18 @@ degree by degree, then the boundary points, and the emitters read each
 point once and keep only the strings they join, so no list of points is
 held while the dataset is written.
 
-Emission works on ranks.  The CSV emitter renders each table value once,
-as an exact fraction and as 15 significant decimal digits (round half to
-even, by integer arithmetic).  The SVG emitter writes the table over one
-common denominator (``q**max_degree`` for ``c = p/q``) and computes each
-pixel as an integer ratio, rounded to two decimals half to even and
-memoised on the rank tuple its axis reads.  Each emitter then joins its
-text once from shared fragments (those rendered strings, the markup and the
-separators) and one provenance string per point, closing newline included,
-so no row string and no second copy of the text is built.  Both outputs are
-byte-deterministic.
+Emission works on ranks, and each emitter prepares a table's texts again
+only when a point indexes another table than the point before it.  The CSV
+emitter renders each table value once, as an exact fraction and as 15
+significant decimal digits (round half to even, by integer arithmetic).
+The SVG emitter writes the table over one common denominator
+(``q**max_degree`` for ``c = p/q``) and computes each pixel as an integer
+ratio, rounded to two decimals half to even and memoised on the rank tuple
+its axis reads; the frame's corners are ranks into the table ``(0, 1)``.
+Each emitter joins its text once from shared fragments (those rendered
+strings, the markup and the separators) and one provenance string per
+point, closing newline included, so no row string and no second copy of
+the text is built.  Both outputs are byte-deterministic.
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import lcm
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .fock import MultiIndex, indices_up_to, iter_indices
 from .sparse import frac_str
@@ -433,30 +436,6 @@ def point_provenance(point: SpectrumPoint) -> str:
     return "|".join(map(render_provenance, provenance))
 
 
-_State = TypeVar("_State")
-
-
-def _per_table(points: Iterable[SpectrumPoint],
-               prepare: Callable[[Sequence[Fraction]], _State]
-               ) -> Iterator[Tuple[SpectrumPoint, _State]]:
-    """Pair each point with ``prepare(point.table)``, called once per table.
-
-    The states are keyed by table identity and hold their table, so an id
-    cannot be reused while the states live.
-    """
-    states: Dict[int, Tuple[Sequence[Fraction], _State]] = {}
-    table: Optional[Sequence[Fraction]] = None
-    state = None
-    for point in points:
-        if point.table is not table:
-            table = point.table
-            entry = states.get(id(table))
-            if entry is None:
-                entry = states[id(table)] = (table, prepare(table))
-            state = entry[1]
-        yield point, state
-
-
 def _csv_fields(table: Sequence[Fraction]) -> Tuple[List[str], List[str]]:
     """Each table value as the CSV field after its comma: exact, and decimal."""
     return ["," + frac_str(x) for x in table], ["," + decimal15(x) for x in table]
@@ -476,7 +455,11 @@ def emit_csv(points: Iterable[SpectrumPoint], n: int) -> str:
     header.extend("x%d_dec" % k for k in range(1, n + 1))
     fragments = [",".join(header)]
     extend = fragments.extend
-    for point, (exact, dec) in _per_table(points, _csv_fields):
+    table = None
+    for point in points:
+        if point.table is not table:
+            table = point.table
+            exact, dec = _csv_fields(table)
         ranks = point.ranks
         extend(("\n", point.kind, ",", point_provenance(point)))
         extend(map(exact.__getitem__, ranks))
@@ -490,39 +473,14 @@ _SVG_MARGIN = 40
 _SVG_DEPTH = Fraction(2, 5)  # n = 3: cavalier projection, x2 receding at slope 2/5
 
 
-def _fmt2(x: Fraction) -> str:
-    """Two decimals, round half to even; deterministic pixel coordinates."""
-    x = x if isinstance(x, Fraction) else Fraction(x)
-    sign = "-" if x < 0 else ""
-    q, r = divmod(abs(x).numerator * 100, abs(x).denominator)
-    double = 2 * r
-    if double > abs(x).denominator or (double == abs(x).denominator and q % 2 == 1):
-        q += 1
-    return "%s%d.%02d" % (sign, q // 100, q % 100)
-
-
 def _ratio2(num: int, den: int) -> str:
-    """``num / den`` for ``den > 0`` to two decimals, round half to even,
-    exactly as :func:`_fmt2` renders the Fraction."""
+    """``num / den`` for ``den > 0`` to two decimals, round half to even."""
     sign = "-" if num < 0 else ""
     q, r = divmod(abs(num) * 100, den)
     double = 2 * r
     if double > den or (double == den and q % 2 == 1):
         q += 1
     return "%s%d.%02d" % (sign, q // 100, q % 100)
-
-
-def _project(coords: Tuple[Fraction, ...]) -> Tuple[Fraction, Fraction]:
-    # n = 2: plain plane; n = 3: cavalier projection
-    if len(coords) == 2:
-        return coords[0], coords[1]
-    return coords[0] + _SVG_DEPTH * coords[1], coords[2] + _SVG_DEPTH * coords[1]
-
-
-def _pixel(u: Fraction, v: Fraction, scale: Fraction) -> Tuple[Fraction, Fraction]:
-    px = _SVG_MARGIN + u * scale
-    py = _SVG_SIZE - _SVG_MARGIN - v * scale
-    return px, py
 
 
 class _AxisTexts(dict):
@@ -580,35 +538,29 @@ def emit_svg(points: Iterable[SpectrumPoint], n: int) -> str:
     check_svg_dimension(n)
     span = Fraction(1) if n == 2 else Fraction(7, 5)
     scale = (_SVG_SIZE - 2 * _SVG_MARGIN) / span
-    corners = [(Fraction(x1), Fraction(x2)) for x1 in (0, 1) for x2 in (0, 1)]
     lines: List[str] = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
         'viewBox="0 0 %d %d">' % (_SVG_SIZE, _SVG_SIZE, _SVG_SIZE, _SVG_SIZE),
         '<rect width="%d" height="%d" fill="white"/>' % (_SVG_SIZE, _SVG_SIZE),
     ]
-    if n == 2:
-        edges = [(c1, c2) for c1 in corners for c2 in corners
-                 if sum(a != b for a, b in zip(c1, c2)) == 1]
-    else:
-        cube = [(Fraction(x1), Fraction(x2), Fraction(x3))
-                for x1 in (0, 1) for x2 in (0, 1) for x3 in (0, 1)]
-        edges = [(c1, c2) for c1 in cube for c2 in cube
-                 if sum(a != b for a, b in zip(c1, c2)) == 1]
-    seen = set()
-    for c1, c2 in edges:
-        key = tuple(sorted((c1, c2)))
-        if key in seen:
-            continue
-        seen.add(key)
-        x1, y1 = _pixel(*_project(c1), scale)
-        x2, y2 = _pixel(*_project(c2), scale)
-        lines.append('<line x1="%s" y1="%s" x2="%s" y2="%s" '
-                     'stroke="#888888" stroke-width="1"/>'
-                     % (_fmt2(x1), _fmt2(y1), _fmt2(x2), _fmt2(y2)))
+    # the frame: each edge of the unit square or cube once, from a corner to
+    # the corner that sets one of its zero slots, later slots first
+    x_frame, y_frame = _pixel_texts((Fraction(0), Fraction(1)), n, scale)
+    for start in product((0, 1), repeat=n):
+        for k in reversed(range(n)):
+            if not start[k]:
+                end = start[:k] + (1,) + start[k + 1:]
+                lines.append('<line x1="%s" y1="%s" x2="%s" y2="%s" '
+                             'stroke="#888888" stroke-width="1"/>'
+                             % (x_frame[start[:n - 1]][0], y_frame[start[1:]][0],
+                                x_frame[end[:n - 1]][0], y_frame[end[1:]][0]))
     fragments = ["\n".join(lines)]
     extend = fragments.extend
-    for point, (x_texts, y_texts) in _per_table(
-            points, lambda table: _pixel_texts(table, n, scale)):
+    table = None
+    for point in points:
+        if point.table is not table:
+            table = point.table
+            x_texts, y_texts = _pixel_texts(table, n, scale)
         ranks = point.ranks
         x_text, y_text = x_texts[ranks[:n - 1]], y_texts[ranks[1:]]
         kind = point.kind

@@ -25,7 +25,7 @@ from itertools import product as cartesian
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import masa
-from .fock import (GuardedIdentity, MultiIndex, TruncationParams, basis_degrees,
+from .fock import (MultiIndex, TruncationParams, basis_degrees,
                    check_guarded_identity, column_map, indices_up_to)
 from .sparse import PhaseMatrix, SparseOp, frac_str
 from .spectrum import (SpectrumConfig, boundary_points, boundary_convergence_report,
@@ -70,10 +70,10 @@ def _guarded_word_check(params: TruncationParams, name: str,
         # no basis vector leaves room for the excursion; nothing checkable
         return _check(name, 0, 0, guard=guard, truncationArtifact=False,
                       note="guard exceeds max degree; band empty")
-    result = check_guarded_identity(GuardedIdentity(
-        params, _word_sum(params, lhs_terms), _word_sum(params, rhs_terms), guard))
+    result = check_guarded_identity(
+        params, _word_sum(params, lhs_terms), _word_sum(params, rhs_terms), guard)
     return _check(name, result.columns_checked, 0 if result.ok else 1,
-                  result.first_failure, guard=result.guard,
+                  result.first_failure, guard=guard,
                   truncationArtifact=result.truncation_artifact)
 
 
@@ -384,9 +384,9 @@ def masa_suite(n: int, max_degree: int = 6, degree_cap: int = 4,
                          pos_failures[0] if pos_failures else None))
 
     ident = SparseOp.identity(params.basis_size)
-    unital = masa.expectation(ident).as_operator() == ident
+    unital = masa.expectation(ident) == ident
     sample_op = evaluate_word(words[0], params) if words else ident
-    idem = masa.expectation(masa.expectation(sample_op).as_operator()) == masa.expectation(sample_op)
+    idem = masa.expectation(masa.expectation(sample_op)) == masa.expectation(sample_op)
     checks.append(_check("expectation-unital-idempotent", 2,
                          (0 if unital else 1) + (0 if idem else 1)))
 

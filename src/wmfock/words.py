@@ -244,9 +244,6 @@ class NormalForm:
     def terms(self) -> List[Tuple[NormalMonomial, Scalar]]:
         return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
 
-    def coefficient(self, monomial: NormalMonomial) -> Scalar:
-        return self._terms.get(monomial, 0)
-
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -269,9 +266,6 @@ class NormalForm:
         result = NormalForm()
         result._terms = out
         return result
-
-    def __sub__(self, other: "NormalForm") -> "NormalForm":
-        return self + other.scaled(-1)
 
     def scaled(self, coeff) -> "NormalForm":
         result = NormalForm()

@@ -98,7 +98,7 @@ def test_criterion_5_masa_expectation(n):
                 guard = creation_guard(monomial.word())
                 cutoff = params.degree_prefix(params.max_degree - guard)
                 matrix_side = {p: v for p, v in
-                               expectation(evaluate_word(monomial.word(), params)).diag.items()
+                               expectation(evaluate_word(monomial.word(), params)).diagonal().items()
                                if p < cutoff}
                 symbolic = evaluate(expectation_of_monomial(monomial), params)
                 if matrix_side != {p: v for p, v in symbolic.diagonal().items() if p < cutoff}:
@@ -108,7 +108,7 @@ def test_criterion_5_masa_expectation(n):
         guard = creation_guard(word)
         cutoff = deep.degree_prefix(deep.max_degree - guard)
         direct = {p: v for p, v in
-                  expectation(evaluate_word(word, deep)).diag.items() if p < cutoff}
+                  expectation(evaluate_word(word, deep)).diagonal().items() if p < cutoff}
         symbolic = evaluate(rewrite(word, n).diagonal_part(), deep)
         if direct != {p: v for p, v in symbolic.diagonal().items() if p < cutoff}:
             ok = False

@@ -54,6 +54,8 @@ def test_usage_errors_exit_two():
     assert run_cli("reduce", "--n", "2", "z1").returncode == 2
     assert run_cli("spectrum", "--c", "0.5").returncode == 2
     assert run_cli("spectrum", "--c", "3/2").returncode == 2
+    assert run_cli("verify", "--c", "1/0").returncode == 2
+    assert run_cli("spectrum", "--c", "0/0").returncode == 2
     assert run_cli("spectrum", "--n", "4", "--format", "svg").returncode == 2
 
 

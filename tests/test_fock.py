@@ -6,8 +6,8 @@ from math import comb
 
 import pytest
 
-from wmfock.fock import (GuardedIdentity, TruncationParams, basis_index,
-                         check_guarded_identity, column_map, enumerate_basis)
+from wmfock.fock import (TruncationParams, basis_index, check_guarded_identity,
+                         column_map, enumerate_basis)
 from wmfock.sparse import SparseOp
 
 
@@ -131,17 +131,16 @@ def test_guarded_identities_pass(n):
     a = [column_map(params, i, False) for i in range(n + 1)]
     c = [None] + [column_map(params, i, True) for i in range(1, n + 1)]
     # the top creator is an isometry for the annihilator side: A_n A_n^T = I
-    gi = GuardedIdentity(params, (a[n] @ c[n]).to_op(), ident, 1)
-    res = check_guarded_identity(gi)
+    res = check_guarded_identity(params, (a[n] @ c[n]).to_op(), ident, 1)
     assert res.ok and res.columns_checked == params.degree_prefix(5)
     # support decomposition for i = 1
     lhs = (a[1] @ c[1]).to_op()
     rhs = SparseOp.from_terms(size, [(1, a[0]), (1, c[1] @ a[1])])
-    res = check_guarded_identity(GuardedIdentity(params, lhs, rhs, 1))
+    res = check_guarded_identity(params, lhs, rhs, 1)
     assert res.ok
     # mixed creator pair vanishes on the whole space
     lhs = (a[1] @ c[2]).to_op()
-    res = check_guarded_identity(GuardedIdentity(params, lhs, SparseOp(size), 1))
+    res = check_guarded_identity(params, lhs, SparseOp(size), 1)
     assert res.ok
 
 
@@ -149,7 +148,7 @@ def test_truncation_artifact_is_flagged_not_failed():
     params = TruncationParams(2, 3)
     ident = SparseOp.identity(params.basis_size)
     lhs = (column_map(params, 2, False) @ column_map(params, 2, True)).to_op()
-    res = check_guarded_identity(GuardedIdentity(params, lhs, ident, 1))
+    res = check_guarded_identity(params, lhs, ident, 1)
     assert res.ok
     assert res.truncation_artifact  # the cut top layer differs, by construction
 
@@ -158,7 +157,7 @@ def test_failure_reports_first_bad_basis_vector():
     params = TruncationParams(2, 3)
     ident = SparseOp.identity(params.basis_size)
     zero = SparseOp(params.basis_size)
-    res = check_guarded_identity(GuardedIdentity(params, ident, zero, 0))
+    res = check_guarded_identity(params, ident, zero, 0)
     assert not res.ok
     assert res.first_failure["basis_position"] == 0
     assert res.first_failure["multi_index"] == [0, 0]
@@ -166,7 +165,12 @@ def test_failure_reports_first_bad_basis_vector():
 
 def test_guarded_identity_validation():
     params = TruncationParams(2, 3)
-    with pytest.raises(ValueError):
-        GuardedIdentity(params, SparseOp(4), SparseOp(5), 0)
-    with pytest.raises(ValueError):
-        GuardedIdentity(params, SparseOp(10), SparseOp(10), 7)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        check_guarded_identity(params, SparseOp(4), SparseOp(5), 0)
+    # both sides agree, but not with the basis of (2, 3), which has 10 states
+    with pytest.raises(ValueError, match="not built over the given parameters"):
+        check_guarded_identity(params, SparseOp(9), SparseOp(9), 0)
+    with pytest.raises(ValueError, match="guard must lie"):
+        check_guarded_identity(params, SparseOp(10), SparseOp(10), 7)
+    with pytest.raises(ValueError, match="guard must lie"):
+        check_guarded_identity(params, SparseOp(10), SparseOp(10), -1)

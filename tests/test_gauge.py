@@ -5,18 +5,10 @@ import pytest
 from wmfock import gauge
 from wmfock.fock import TruncationParams, basis_degrees
 from wmfock.gauge import (BLOCK_SHIFT_UNITARY, PAPER_UNITARY, BundleRep,
-                          CirclePhase, PhaseMatrix, build_bundle, bundle_operator,
+                          PhaseMatrix, build_bundle, bundle_operator,
                           check_covariance, check_group_law,
                           check_quotient_relation, gauge_unitary,
                           vacuum_operator_spectrum)
-
-
-def test_circle_phase_arithmetic():
-    w = CirclePhase(8, 3)
-    assert (w * CirclePhase(8, 7)).exponent == 2
-    assert w.conjugate().exponent == 5
-    with pytest.raises(ValueError):
-        w * CirclePhase(4, 1)
 
 
 def test_phase_matrix_product_and_adjoint():
@@ -113,7 +105,7 @@ def test_gauge_unitary_matches_element_oracle(n, max_degree, roots):
         for w in range(-roots, 2 * roots):
             unitary = gauge_unitary(rep, w, variant)
             assert unitary.matrix == gauge_unitary_oracle(rep, w, variant), (variant, w)
-            assert unitary.phase == CirclePhase(roots, w)
+            assert unitary.w == w % roots
 
 
 @pytest.mark.parametrize("n", [2, 3])

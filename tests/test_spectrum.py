@@ -4,13 +4,14 @@ import hashlib
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wmfock.spectrum import (BOUNDARY, INTERIOR, BoundaryPattern, FunctionalKey,
-                             SpectrumConfig, SpectrumPoint, _SVG_MARGIN, _SVG_SIZE,
-                             _fmt2, _pixel, _project, _ratio2,
+                             SpectrumConfig, SpectrumPoint, _SVG_DEPTH, _SVG_MARGIN,
+                             _SVG_SIZE, _ratio2,
                              boundary_convergence_report, boundary_patterns,
                              boundary_points, coordinate_values, decimal15, embed,
                              emit_csv, emit_svg, enumerate_spectrum,
@@ -288,6 +289,30 @@ def test_svg_n3_projection():
     assert svg.count("<line") == 12  # projected cube frame
 
 
+# Fraction reference for the SVG pixels: project the exact coordinates,
+# scale them onto the canvas and round the Fraction to two decimals.
+
+def _fmt2(x: Fraction) -> str:
+    """Two decimals, round half to even."""
+    sign = "-" if x < 0 else ""
+    q, r = divmod(abs(x).numerator * 100, abs(x).denominator)
+    double = 2 * r
+    if double > abs(x).denominator or (double == abs(x).denominator and q % 2 == 1):
+        q += 1
+    return "%s%d.%02d" % (sign, q // 100, q % 100)
+
+
+def _project(coords):
+    # n = 2: plain plane; n = 3: cavalier projection
+    if len(coords) == 2:
+        return coords[0], coords[1]
+    return coords[0] + _SVG_DEPTH * coords[1], coords[2] + _SVG_DEPTH * coords[1]
+
+
+def _pixel(u, v, scale):
+    return _SVG_MARGIN + u * scale, _SVG_SIZE - _SVG_MARGIN - v * scale
+
+
 @settings(max_examples=300, deadline=None)
 @given(num=st.integers(-10 ** 6, 10 ** 6), den=st.integers(1, 10 ** 4))
 def test_integer_pixel_rounding_matches_fmt2(num, den):
@@ -316,9 +341,22 @@ def _csv_reference(points, n):
 
 
 def _svg_reference(points, n):
-    """The emitter loop projecting and rendering every point on its own."""
-    lines = [emit_svg([], n)[:-len("</svg>\n")]]  # header and frame
+    """The emitter loop projecting and rendering every point on its own,
+    after the header and the frame: every pair of unit-cube corners one slot
+    apart, drawn once from the lexicographically smaller corner."""
+    lines = ['<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
+             'viewBox="0 0 %d %d">\n' % ((_SVG_SIZE,) * 4),
+             '<rect width="%d" height="%d" fill="white"/>\n' % (_SVG_SIZE, _SVG_SIZE)]
     scale = (_SVG_SIZE - 2 * _SVG_MARGIN) / (Fraction(1) if n == 2 else Fraction(7, 5))
+    cube = list(product((Fraction(0), Fraction(1)), repeat=n))
+    for c1 in cube:
+        for c2 in cube:
+            if c1 < c2 and sum(a != b for a, b in zip(c1, c2)) == 1:
+                x1, y1 = _pixel(*_project(c1), scale)
+                x2, y2 = _pixel(*_project(c2), scale)
+                lines.append('<line x1="%s" y1="%s" x2="%s" y2="%s" '
+                             'stroke="#888888" stroke-width="1"/>\n'
+                             % (_fmt2(x1), _fmt2(y1), _fmt2(x2), _fmt2(y2)))
     for point in points:
         px, py = _pixel(*_project(point.coords), scale)
         title = "%s %s" % (point.kind, point_provenance(point))
