@@ -26,7 +26,8 @@ held while the dataset is written.
 Emission works on ranks, and each emitter prepares a table's texts again
 only when a point indexes another table than the point before it.  The CSV
 emitter renders each table value once, as an exact fraction and as 15
-significant decimal digits (round half to even, by integer arithmetic).
+significant decimal digits (one :mod:`decimal` division, correctly rounded
+half to even).
 The SVG emitter writes the table over one common denominator
 (``q**max_degree`` for ``c = p/q``) and computes each pixel as an integer
 ratio, rounded to two decimals half to even and memoised on the rank tuple
@@ -40,6 +41,7 @@ the text is built.  Both outputs are byte-deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -282,15 +284,15 @@ def verify_multiplicativity(cfg: SpectrumConfig, degree_cap: int) -> dict:
     are reported separately as caveats, not as failures, because a constant
     functional cannot be multiplicative on a zero product.  Each functional
     is evaluated once per index, as a row read by every case of its key.
+    Failures and caveats are counted; only the first of each is kept.
     """
     if degree_cap > cfg.max_degree:
         raise ValueError("degree cap exceeds max_degree")
     indices = indices_up_to(cfg.n, degree_cap)
     keys = [FunctionalKey.vacuum(), FunctionalKey.identity()]
     keys.extend(FunctionalKey.point(mu) for mu in indices)
-    failures: List[dict] = []
-    caveats = 0
-    first_caveat = None
+    failures = caveats = 0
+    first_failure = first_caveat = None
     zero, left = ProductResult.ZERO, ProductResult.LEFT_SURVIVES
     for key in keys:
         row = [functional_apply(key, nu) for nu in indices]
@@ -310,70 +312,63 @@ def verify_multiplicativity(cfg: SpectrumConfig, degree_cap: int) -> dict:
                         if first_caveat is None:
                             first_caveat = {"nu": list(nu), "rho": list(rho)}
                     else:
-                        failures.append({
-                            "functional": key.render(),
-                            "nu": list(nu), "rho": list(rho),
-                            "product": outcome.value,
-                            "got": product_value, "want": expected,
-                        })
+                        failures += 1
+                        if first_failure is None:
+                            first_failure = {
+                                "functional": key.render(),
+                                "nu": list(nu), "rho": list(rho),
+                                "product": outcome.value,
+                                "got": product_value, "want": expected,
+                            }
     return {
         "cases": len(keys) * len(indices) ** 2,
-        "failures": len(failures),
-        "first_failure": failures[0] if failures else None,
+        "failures": failures,
+        "first_failure": first_failure,
         "identity_zero_product_caveats": caveats,
         "first_caveat": first_caveat,
     }
 
 
-def _powers(c: Fraction, top: int) -> List[Fraction]:
-    """``[c**0, c**1, ..., c**top]``, one multiplication each."""
-    powers = [Fraction(1)]
-    for _ in range(top):
-        powers.append(powers[-1] * c)
-    return powers
+P_LIMIT = 20  # family members p = 1..P_LIMIT checked per boundary pattern
 
 
-def boundary_convergence_report(cfg: SpectrumConfig, p_limit: int = 20) -> dict:
+def boundary_convergence_report(cfg: SpectrumConfig) -> dict:
     """Exact check that the approximating families reach their boundary points.
 
-    For every boundary pattern and p = 1..p_limit: coordinates above the
-    pivot are already equal to the limit, bits below are constant, and the
-    pivot coordinate increases strictly with gap exactly c**(p + tail sum).
-    Coordinate k of an index is ``1 - powers[r_k]``, read from one table
-    built from the powers of c up to the largest exponent the families
-    reach; the limits come from :func:`coordinate_values`.
+    For every boundary pattern and p = 1..P_LIMIT, on the exponents
+    ``r_value(index_at(p), j)``: the slots above the pivot equal the
+    limit's ranks, each bit-0 slot below it is 0, each bit-1 slot climbs
+    strictly with p, and the pivot is exactly ``p + sum(tail)`` (a gap of
+    ``c**(p + sum(tail))`` below its limit 1) and climbs strictly.  Since
+    0 < c < 1, ``1 - c**r`` is strictly increasing in r, so these are the
+    comparisons of the coordinates themselves; the limit rank
+    ``max_degree + 1`` stands for the coordinate 1 and matches no finite
+    exponent.  Only the first failure's payload is built.
     """
-    cases = 0
-    failures: List[dict] = []
-    values = coordinate_values(cfg)
-    patterns = boundary_patterns(cfg)
-    top = p_limit + max(sum(pattern.bits) + sum(pattern.tail) for pattern in patterns)
-    coordinate = [1 - power for power in _powers(cfg.c, top)]  # by exponent
-    for pattern in patterns:
-        target = tuple(values[r] for r in boundary_ranks(pattern, cfg))
+    n, top = cfg.n, cfg.max_degree + 1
+    cases = failures = 0
+    first_failure = None
+    for pattern in boundary_patterns(cfg):
         k = pattern.pivot
-        tail_sum = sum(pattern.tail)
+        limit = boundary_ranks(pattern, cfg)[k:]
+        zeros = [j for j, b in enumerate(pattern.bits) if not b]
+        climbing = [j for j, b in enumerate(pattern.bits) if b] + [k - 1]
+        base = sum(pattern.tail)
         previous = None
-        for p in range(1, p_limit + 1):
+        for p in range(1, P_LIMIT + 1):
             mu = pattern.index_at(p)
-            coords = tuple(coordinate[r_value(mu, j)] for j in range(1, cfg.n + 1))
-            ok = all(coords[j] == target[j] for j in range(k, cfg.n))
-            for j in range(k - 1):
-                if pattern.bits[j] == 0:
-                    ok = ok and coords[j] == 0
-                else:
-                    ok = ok and coords[j] < 1
-                    if previous is not None:
-                        ok = ok and coords[j] > previous[j]
-            ok = ok and coords[k - 1] == coordinate[p + tail_sum]  # gap c**(p + tail_sum)
-            if previous is not None:
-                ok = ok and coords[k - 1] > previous[k - 1]
+            r = [r_value(mu, j) for j in range(1, n + 1)]
+            ok = (r[k - 1] == p + base
+                  and all(a == b != top for a, b in zip(r[k:], limit))
+                  and not any(r[j] for j in zeros)
+                  and (previous is None or all(r[j] > previous[j] for j in climbing)))
             cases += 1
             if not ok:
-                failures.append({"pattern": render_provenance(pattern), "p": p})
-            previous = coords
-    return {"cases": cases, "failures": len(failures),
-            "first_failure": failures[0] if failures else None}
+                failures += 1
+                if first_failure is None:
+                    first_failure = {"pattern": render_provenance(pattern), "p": p}
+            previous = r
+    return {"cases": cases, "failures": failures, "first_failure": first_failure}
 
 
 # ---------------------------------------------------------------------------
@@ -381,38 +376,14 @@ def boundary_convergence_report(cfg: SpectrumConfig, p_limit: int = 20) -> dict:
 # ---------------------------------------------------------------------------
 
 
+_DECIMAL15 = Context(prec=15, rounding=ROUND_HALF_EVEN)
+
+
 def decimal15(x: Fraction) -> str:
     """15 significant decimal digits, round half to even, no exponent form."""
-    x = x if isinstance(x, Fraction) else Fraction(x)
-    if x == 0:
-        return "0"
-    sign = "-" if x < 0 else ""
-    x = abs(x)
-    exp = 0
-    while x >= 10:
-        x /= 10
-        exp += 1
-    while x < 1:
-        x *= 10
-        exp -= 1
-    # x in [1, 10); 15 significant digits total
-    num, den = x.numerator, x.denominator
-    scaled_num = num * 10 ** 14
-    q, r = divmod(scaled_num, den)
-    double = 2 * r
-    if double > den or (double == den and q % 2 == 1):
-        q += 1
-    if q == 10 ** 15:
-        q //= 10
-        exp += 1
-    digits = str(q)
-    if exp >= 0:
-        int_part = digits[: exp + 1]
-        frac_part = digits[exp + 1:].rstrip("0")
-    else:
-        int_part = "0"
-        frac_part = ("0" * (-exp - 1) + digits).rstrip("0")
-    return sign + (int_part + "." + frac_part if frac_part else int_part)
+    x = Fraction(x)
+    q = _DECIMAL15.divide(Decimal(x.numerator), Decimal(x.denominator))
+    return format(q.normalize(_DECIMAL15), "f")
 
 
 def render_provenance(item) -> str:

@@ -20,6 +20,9 @@ GOLDEN = {
         "551d8d6cbec0d8a1f396b98653da5c6c115bcbf4494f2e7a3582974f2124de04",
     ("gauge", "--n", "2", "--max-degree", "3", "--roots", "4"):
         "ccd5991c8be2775033d98106095183aca1b3b8d536bfdb41bb95781d14946ff0",
+    # the spectrum suite off c = 1/2, where c**r and 1 - c**r differ
+    ("verify", "--suite", "spectrum", "--n", "3", "--max-degree", "8", "--c", "3/7"):
+        "10572d9ebee5015467b2d21e3d174a2a93f712da00b62a674424255898b63992",
     # the benchmark's sizes: the verify-all and gauge-bundle workloads, and
     # the masa suite one letter past them
     ("verify", "--suite", "all", "--n", "4", "--max-degree", "6", "--c", "1/2",

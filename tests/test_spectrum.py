@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -9,7 +10,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wmfock.spectrum import (BOUNDARY, INTERIOR, BoundaryPattern, FunctionalKey,
+from wmfock import spectrum
+from wmfock.spectrum import (BOUNDARY, INTERIOR, P_LIMIT, BoundaryPattern, FunctionalKey,
                              SpectrumConfig, SpectrumPoint, _SVG_DEPTH, _SVG_MARGIN,
                              _SVG_SIZE, _ratio2,
                              boundary_convergence_report, boundary_patterns,
@@ -210,6 +212,27 @@ def test_multiplicativity_matches_oracle_loop(n, cap):
     assert verify_multiplicativity(cfg, cap) == _multiplicativity_oracle(cfg, cap)
 
 
+def test_multiplicativity_keeps_one_failure_payload(monkeypatch):
+    # every product read as LEFT: 19,278 of the 352,800 cases at (4, 6) fail,
+    # and only the count and the first payload are kept
+    monkeypatch.setattr(spectrum, "projection_product",
+                        lambda nu, rho: ProductResult.LEFT_SURVIVES)
+    cfg = SpectrumConfig(4, 6, HALF)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        report = verify_multiplicativity(cfg, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["cases"] == 352800
+    assert report["failures"] == 19278
+    assert report["first_failure"] == {"functional": "phi(0;0;0;0)", "nu": [0, 0, 0, 0],
+                                       "rho": [1, 0, 0, 0], "product": "left",
+                                       "got": 1, "want": 0}
+    assert peak - start < 2 * 2 ** 20
+
+
 def test_multiplicativity_rejects_high_cap():
     with pytest.raises(ValueError):
         verify_multiplicativity(SpectrumConfig(2, 3, HALF), 4)
@@ -228,9 +251,90 @@ def test_point_functional_agrees_with_product_rule(n):
 
 def test_boundary_convergence_exact():
     cfg = SpectrumConfig(2, 3, Fraction(1, 3))
-    report = boundary_convergence_report(cfg, p_limit=12)
+    report = boundary_convergence_report(cfg)
     assert report["failures"] == 0
-    assert report["cases"] == 12 * len(boundary_patterns(cfg))
+    assert report["cases"] == P_LIMIT * len(boundary_patterns(cfg))
+
+
+def _powers(c, top):
+    """``[c**0, c**1, ..., c**top]``, one multiplication each."""
+    powers = [Fraction(1)]
+    for _ in range(top):
+        powers.append(powers[-1] * c)
+    return powers
+
+
+def _boundary_reference(cfg, p_limit):
+    """The limits compared as Fraction coordinates: coordinate k of an index
+    is ``1 - c**r_k`` from a second power table of c, the limit is read from
+    :func:`coordinate_values`, and every failure is kept."""
+    cases = 0
+    failures = []
+    values = coordinate_values(cfg)
+    patterns = boundary_patterns(cfg)
+    # one power past the largest exponent a family reaches, so that a family
+    # one step further out still reads its coordinates
+    top = p_limit + 1 + max(sum(pattern.bits) + sum(pattern.tail) for pattern in patterns)
+    coordinate = [1 - power for power in _powers(cfg.c, top)]  # by exponent
+    for pattern in patterns:
+        target = tuple(values[r] for r in spectrum.boundary_ranks(pattern, cfg))
+        k = pattern.pivot
+        tail_sum = sum(pattern.tail)
+        previous = None
+        for p in range(1, p_limit + 1):
+            mu = pattern.index_at(p)
+            coords = tuple(coordinate[spectrum.r_value(mu, j)] for j in range(1, cfg.n + 1))
+            ok = all(coords[j] == target[j] for j in range(k, cfg.n))
+            for j in range(k - 1):
+                if pattern.bits[j] == 0:
+                    ok = ok and coords[j] == 0
+                else:
+                    ok = ok and coords[j] < 1
+                    if previous is not None:
+                        ok = ok and coords[j] > previous[j]
+            ok = ok and coords[k - 1] == coordinate[p + tail_sum]  # gap c**(p + tail_sum)
+            if previous is not None:
+                ok = ok and coords[k - 1] > previous[k - 1]
+            cases += 1
+            if not ok:
+                failures.append({"pattern": render_provenance(pattern), "p": p})
+            previous = coords
+    return {"cases": cases, "failures": len(failures),
+            "first_failure": failures[0] if failures else None}
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 4), degree=st.integers(1, 8), q=st.integers(2, 60), data=st.data())
+def test_boundary_convergence_matches_fraction_reference(n, degree, q, data):
+    cfg = SpectrumConfig(n, degree, Fraction(data.draw(st.integers(1, q - 1)), q))
+    assert boundary_convergence_report(cfg) == _boundary_reference(cfg, P_LIMIT)
+
+
+def _boundary_faults(degree):
+    r_value_ = spectrum.r_value
+    return {
+        # the family one step further out than p: every pivot exponent is off
+        "pivot-shifted": (BoundaryPattern, "index_at",
+                          lambda self, p: self.bits + (p + 1,) + self.tail),
+        # every slot below the pivot set: the bit-0 slots leave exponent 0
+        "bits-set": (BoundaryPattern, "index_at",
+                     lambda self, p: (1,) * len(self.bits) + (p,) + self.tail),
+        # the last slot's exponent and its limit both read the limit rank
+        # max_degree + 1, which stands for the coordinate 1: no finite
+        # exponent reaches it, and a pivot in that slot stops climbing
+        "last-slot-at-one": (spectrum, "r_value",
+                             lambda mu, k: degree + 1 if k == len(mu) else r_value_(mu, k)),
+    }
+
+
+@pytest.mark.parametrize("fault", ["pivot-shifted", "bits-set", "last-slot-at-one"])
+@pytest.mark.parametrize("n,degree", [(2, 3), (3, 4)])
+def test_boundary_convergence_matches_reference_under_faults(n, degree, fault, monkeypatch):
+    cfg = SpectrumConfig(n, degree, Fraction(3, 7))
+    monkeypatch.setattr(*_boundary_faults(degree)[fault])
+    report = boundary_convergence_report(cfg)
+    assert report["failures"] > 0
+    assert report == _boundary_reference(cfg, P_LIMIT)
 
 
 def test_decimal_rendering():
@@ -247,6 +351,47 @@ def test_decimal_round_half_even():
     # 0.1000000000000005 -> ties to even over 15 significant digits
     assert decimal15(Fraction(1000000000000005, 10 ** 16)) == "0.1"
     assert decimal15(Fraction(1000000000000015, 10 ** 16)) == "0.100000000000002"
+
+
+def test_decimal_keeps_the_magnitude_of_large_values():
+    assert decimal15(10 ** 15) == "1000000000000000"
+    assert decimal15(123456789012345678) == "123456789012346000"
+    # 999999999999999.5 ties up to even, carrying into a 16th digit place
+    assert decimal15(Fraction(1999999999999999, 2)) == "1000000000000000"
+
+
+def _assert_decimal15_oracle(x, text):
+    """``text`` is ``x`` to 15 significant digits, ties to even, checked in
+    Fractions: the nearest multiple of the unit in the 15th digit."""
+    assert re.fullmatch(r"-?(0|[1-9][0-9]*)(\.[0-9]*[1-9])?", text), text
+    if x == 0:
+        assert text == "0"
+        return
+    assert len(text.lstrip("-").replace(".", "").strip("0")) <= 15
+    e = len(str(abs(x.numerator))) - len(str(x.denominator))
+    while Fraction(10) ** e > abs(x):
+        e -= 1
+    while Fraction(10) ** (e + 1) <= abs(x):
+        e += 1
+    unit = Fraction(10) ** (e - 14)
+    y = Fraction(text)
+    steps = y / unit
+    assert steps.denominator == 1
+    assert abs(y - x) <= unit / 2
+    if abs(y - x) == unit / 2:
+        assert steps.numerator % 2 == 0
+
+
+_ties = st.builds(lambda k, e: Fraction(2 * k + 1, 2) * Fraction(10) ** e,
+                  st.integers(-10 ** 15 + 1, 10 ** 15 - 1), st.integers(-30, 30))
+
+
+@settings(max_examples=400, deadline=None)
+@given(x=st.one_of(st.fractions(), _ties,
+                   st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40),
+                             st.integers(1, 10 ** 40))))
+def test_decimal15_matches_fraction_oracle(x):
+    _assert_decimal15_oracle(x, decimal15(x))
 
 
 def test_provenance_rendering():

@@ -216,11 +216,11 @@ def test_spectrum_suite_carries_vertex_note():
     assert "all-zero vertex" in vertices["note"]
 
 
-def test_boundary_limits_catch_a_shifted_powers_table(monkeypatch):
-    # every coordinate read one power of c too far: the limits, taken from
-    # coordinate_values, must no longer match
-    powers = spectrum._powers
-    monkeypatch.setattr(spectrum, "_powers", lambda c, top: powers(c, top + 1)[1:])
+def test_boundary_limits_catch_a_shifted_pivot(monkeypatch):
+    # every family member one step further out than p: the pivot exponent is
+    # no longer p + sum(tail)
+    monkeypatch.setattr(spectrum.BoundaryPattern, "index_at",
+                        lambda self, p: self.bits + (p + 1,) + self.tail)
     report = spectrum_suite(2, 3, HALF)
     limits = next(c for c in report["checks"] if c["name"] == "boundary-limits-monotone")
     assert limits["failures"] > 0
