@@ -8,13 +8,14 @@ and all iteration orders are explicit.
 
 The matrix side of a check is a direct product of generator matrices and
 never goes through the rewriter.  A single word stays an order-1
-:class:`~wmfock.sparse.PhaseMatrix`: its products, comparisons and
-diagonal are read from the kernel's arrays.  Only sums of words and
-evaluated normal forms become :class:`~wmfock.sparse.SparseOp`
-combinations.  ``masa`` reads which columns each normal monomial fixes
-from its creation and annihilation blocks, each composed once, through
-one inverse lookup of the creation blocks (:func:`monomial_diagonals`);
-no monomial's product is formed.
+:class:`~wmfock.sparse.PhaseMatrix`: its products, comparisons and diagonal
+are read from the kernel's arrays.  Only sums of words and evaluated normal
+forms become :class:`~wmfock.sparse.SparseOp` combinations.  ``projections``
+keeps the columns each composed ``P_mu`` fixes as one ``int`` bitmask;
+``P_mu P_nu`` fixes the intersection of two masks.  ``masa`` reads which
+columns each normal monomial fixes from its creation and annihilation
+blocks, each composed once, through one inverse lookup of the creation
+blocks (:func:`monomial_diagonals`); no monomial's product is formed.
 """
 
 from __future__ import annotations
@@ -206,56 +207,55 @@ def ck_suite(n: int, max_degree: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _fixed_mask(matrix: PhaseMatrix) -> Optional[int]:
+    """Bitmask of the columns a diagonal 0/1 map fixes; None for any other map."""
+    fixed = matrix.diagonal()
+    return (sum(1 << c for c in fixed)
+            if len(fixed) + matrix.image.count(-1) == matrix.dim else None)
+
+
 def projections_suite(n: int, max_degree: int = 6, degree_cap: int = 4) -> dict:
     params = TruncationParams(n, max_degree)
     indices = indices_up_to(n, degree_cap)
     matrices = {mu: evaluate_word(NormalMonomial.projection(mu).word(), params)
                 for mu in indices}
-    cases = 0
-    failures: List[dict] = []
-    pivots_used = set()
-    for mu in indices:
-        for nu in indices:
-            cases += 1
-            symbolic = projection_product(mu, nu)
-            prod = matrices[mu] @ matrices[nu]
-            if prod.is_zero():
-                oracle = ProductResult.ZERO
-            elif prod == matrices[mu]:
-                oracle = ProductResult.LEFT_SURVIVES
-            elif prod == matrices[nu]:
-                oracle = ProductResult.RIGHT_SURVIVES
-            else:
-                oracle = None
-            # mu = nu makes both classifications correct; prefer the symbolic one
-            if mu == nu and oracle is not None:
-                oracle = ProductResult.LEFT_SURVIVES
-            if oracle is not symbolic:
-                failures.append({"mu": list(mu), "nu": list(nu),
-                                 "symbolic": symbolic.value,
-                                 "matrix": oracle.value if oracle else "mixed"})
-            pivot = precedes_pivot(nu, mu)
-            if pivot is not None:
-                pivots_used.add(pivot)
-    checks = [_check("product-rule-matches-matrix-oracle", cases, len(failures),
-                     failures[0] if failures else None)]
-    anti_cases = 0
-    anti_failures: List[dict] = []
-    for mu in indices:
-        for nu in indices:
-            if mu != nu:
-                anti_cases += 1
-                if precedes(mu, nu) and precedes(nu, mu):
-                    anti_failures.append({"mu": list(mu), "nu": list(nu)})
-    checks.append(_check("order-antisymmetric", anti_cases, len(anti_failures),
-                         anti_failures[0] if anti_failures else None))
-    expected_range = list(range(1, n + 1))
-    checks.append(_check("pivot-range", len(pivots_used),
-                         0 if sorted(pivots_used) == expected_range else 1,
-                         None if sorted(pivots_used) == expected_range
-                         else {"pivotsUsed": sorted(pivots_used)},
-                         pivotsUsed=sorted(pivots_used),
-                         declaredRange=[1, n]))
+    # a product of diagonal projections fixes the columns both fix
+    masks = {mu: _fixed_mask(matrix) for mu, matrix in matrices.items()}
+    failures, first_failure, pivots_used = 0, None, set()
+    for mu, nu in cartesian(indices, repeat=2):
+        symbolic = projection_product(mu, nu)
+        m_mu, m_nu = masks[mu], masks[nu]
+        if m_mu is None or m_nu is None:
+            oracle = None  # no class fits a map that is not a diagonal 0/1 map
+        elif mu == nu:  # both classes hold; prefer the symbolic one, and keep the kernel product
+            oracle = (ProductResult.LEFT_SURVIVES
+                      if matrices[mu] @ matrices[mu] == matrices[mu] else None)
+        else:
+            both = m_mu & m_nu
+            oracle = (ProductResult.ZERO if not both else
+                      ProductResult.LEFT_SURVIVES if both == m_mu else
+                      ProductResult.RIGHT_SURVIVES if both == m_nu else None)
+        if oracle is not symbolic:
+            failures += 1
+            first_failure = first_failure or {
+                "mu": list(mu), "nu": list(nu), "symbolic": symbolic.value,
+                "matrix": oracle.value if oracle else "mixed"}
+        pivots_used.add(precedes_pivot(nu, mu))
+    pivots_used.discard(None)  # the pairs ordered neither way
+    checks = [_check("product-rule-matches-matrix-oracle", len(indices) ** 2,
+                     failures, first_failure)]
+    failures, first_failure = 0, None
+    for mu, nu in cartesian(indices, repeat=2):
+        if mu != nu and precedes(mu, nu) and precedes(nu, mu):
+            failures += 1
+            first_failure = first_failure or {"mu": list(mu), "nu": list(nu)}
+    checks.append(_check("order-antisymmetric", len(indices) * (len(indices) - 1),
+                         failures, first_failure))
+    pivots = sorted(pivots_used)
+    in_range = pivots == list(range(1, n + 1))
+    checks.append(_check("pivot-range", len(pivots), 0 if in_range else 1,
+                         None if in_range else {"pivotsUsed": pivots},
+                         pivotsUsed=pivots, declaredRange=[1, n]))
     return {"suite": "projections", "n": n, "maxDegree": max_degree,
             "degreeCap": degree_cap, "checks": checks}
 

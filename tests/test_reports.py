@@ -32,6 +32,11 @@ GOLDEN = {
         "002064da7c921ae307afa2191268183d82dee738a6621e820d28fd5e22e0ff4f",
     ("gauge", "--n", "3", "--max-degree", "12", "--roots", "8", "--unitary", "paper"):
         "b33dc4e420b3be1c7b0ac0d860dc0cb4fa9ad4d4a5490a130b267918cf15790b",
+    # the projection order at reach sizes: 210 and 330 projections
+    ("verify", "--suite", "projections", "--jobs", "1", "--n", "6", "--max-degree", "6"):
+        "6b6918ccc7913fc85c3959eecbf4b03086b3ce87ef6eca8bf57fce1c9143f78f",
+    ("verify", "--suite", "projections", "--jobs", "1", "--n", "7", "--max-degree", "6"):
+        "78a39362a4ea0413d1c8fecb4751a352ef404dd047fa25f7bc1b20a1c2805b88",
 }
 
 
