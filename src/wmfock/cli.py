@@ -137,12 +137,8 @@ def _cmd_spectrum(args) -> int:
     cfg = SpectrumConfig(args.n, args.max_degree, args.c)
     if args.format == "svg":
         check_svg_dimension(cfg.n)  # before the enumeration, which may be long
-    points = enumerate_spectrum(cfg)  # a stream, read once by the emitter
-    if args.format == "csv":
-        text = emit_csv(points, cfg.n)
-    else:
-        text = emit_svg(points, cfg.n)
-    _write_output(text, args.out)
+    emit = emit_csv if args.format == "csv" else emit_svg
+    _write_output(emit(enumerate_spectrum(cfg), cfg), args.out)  # the stream is read once
     return 0
 
 

@@ -12,10 +12,11 @@ of 0/1 bits below it, and a finite tail above it.
 Since ``r_k <= max_degree``, every coordinate is one of the
 ``max_degree + 2`` values of :func:`coordinate_values`: 0, ``1 - c**r`` for
 r = 1..max_degree, and 1, in increasing order.  A :class:`SpectrumPoint`
-stores the integer rank of each coordinate in that table, together with the
-table it indexes, which every point of one enumeration shares; its exact
-Fraction coordinates are read from the table on demand.  Ranks order, group
-and key points exactly as their coordinates would.
+stores the integer rank of each coordinate in its configuration's table;
+``point.coords(values)`` reads its exact Fraction coordinates from that
+table.  Ranks order, group and key points exactly as their coordinates
+would.  :func:`embed` computes the coordinates of an index from ``c``
+alone, as an oracle that does not read the table.
 
 The dataset is a stream.  :func:`enumerate_spectrum` yields the interior
 points one at a time as :func:`wmfock.fock.iter_indices` walks the indices
@@ -23,12 +24,11 @@ degree by degree, then the boundary points, and the emitters read each
 point once and keep only the strings they join, so no list of points is
 held while the dataset is written.
 
-Emission works on ranks, and each emitter prepares a table's texts again
-only when a point indexes another table than the point before it.  The CSV
-emitter renders each table value once, as an exact fraction and as 15
-significant decimal digits (one :mod:`decimal` division, correctly rounded
-half to even).
-The SVG emitter writes the table over one common denominator
+Emission works on ranks, and each emitter takes the configuration and
+prepares the texts of its table once per call.  The CSV emitter renders
+each table value once, as an exact fraction and as 15 significant decimal
+digits (one :mod:`decimal` division, correctly rounded half to even).  The
+SVG emitter writes the table over one common denominator
 (``q**max_degree`` for ``c = p/q``) and computes each pixel as an integer
 ratio, rounded to two decimals half to even and memoised on the rank tuple
 its axis reads; the frame's corners are ranks into the table ``(0, 1)``.
@@ -40,13 +40,13 @@ the text is built.  Both outputs are byte-deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import lcm
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .fock import MultiIndex, indices_up_to, iter_indices
 from .sparse import frac_str
@@ -94,35 +94,16 @@ class BoundaryPattern:
 Provenance = Tuple[object, ...]  # multi-indices (interior) or BoundaryPattern
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class SpectrumPoint:
-    """A point of the embedded spectrum: coordinate k is ``table[ranks[k]]``.
-
-    ``table`` is a :func:`coordinate_values` table (or one built the same
-    way), shared by every point of an enumeration.  Points compare and hash
-    by their coordinates, kind and provenance, whatever table they index.
-    """
+class SpectrumPoint(NamedTuple):
+    """A point of the embedded spectrum: coordinate k is ``values[ranks[k]]``
+    in the :func:`coordinate_values` table of its configuration."""
 
     ranks: Tuple[int, ...]
-    table: Sequence[Fraction] = field(repr=False)
     kind: str
     provenance: Provenance
 
-    @property
-    def coords(self) -> Tuple[Fraction, ...]:
-        table = self.table
-        return tuple(table[r] for r in self.ranks)
-
-    def _key(self) -> tuple:
-        return self.coords, self.kind, self.provenance
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SpectrumPoint):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+    def coords(self, values: Sequence[Fraction]) -> Tuple[Fraction, ...]:
+        return tuple(values[r] for r in self.ranks)
 
 
 def r_value(mu: MultiIndex, k: int) -> int:
@@ -134,11 +115,9 @@ def r_value(mu: MultiIndex, k: int) -> int:
     return sum(mu[k - 1:])
 
 
-def embed(mu: MultiIndex, c: Fraction) -> SpectrumPoint:
-    """The interior point of ``mu``, indexing a table up to rank ``|mu|``."""
-    mu = tuple(mu)
-    ranks = tuple(r_value(mu, k) for k in range(1, len(mu) + 1))
-    return SpectrumPoint(ranks, _value_table(c, sum(mu)), INTERIOR, (mu,))
+def embed(mu: MultiIndex, c: Fraction) -> Tuple[Fraction, ...]:
+    """The exact coordinates ``1 - c**r_k(mu)`` of the interior point of ``mu``."""
+    return tuple(1 - c ** r_value(mu, k) for k in range(1, len(mu) + 1))
 
 
 def _tails(parts: int, cap: int) -> Iterable[Tuple[int, ...]]:
@@ -162,17 +141,12 @@ def coordinate_values(cfg: SpectrumConfig) -> Tuple[Fraction, ...]:
 
     The table is strictly increasing because 0 < c < 1, so tuples of ranks
     compare, group and sort exactly as the coordinate tuples they stand for.
-    It is immutable and cached, so the interior and boundary points of one
-    configuration index the same table object.
+    It is immutable and cached per configuration.
     """
-    return _value_table(cfg.c, cfg.max_degree)
-
-
-def _value_table(c: Fraction, max_degree: int) -> Tuple[Fraction, ...]:
     values = [Fraction(0)]
     power = Fraction(1)
-    for _ in range(max_degree):
-        power *= c
+    for _ in range(cfg.max_degree):
+        power *= cfg.c
         values.append(1 - power)
     values.append(Fraction(1))
     return tuple(values)
@@ -191,10 +165,8 @@ def interior_points(cfg: SpectrumConfig) -> Iterator[SpectrumPoint]:
     """The images of the indices of degree ``<= max_degree``, made one at a
     time in graded order as :func:`wmfock.fock.iter_indices` walks them.
 
-    Equal to ``embed`` on every index; every point indexes the one
-    :func:`coordinate_values` table of ``cfg``.
+    Each point's coordinates equal ``embed`` on its index.
     """
-    values = coordinate_values(cfg)
     for mu in iter_indices(cfg.n, cfg.max_degree):
         ranks = []
         tail = 0  # r_k = mu_k + ... + mu_n when mu_k > 0, read right to left
@@ -202,7 +174,7 @@ def interior_points(cfg: SpectrumConfig) -> Iterator[SpectrumPoint]:
             tail += m
             ranks.append(tail if m else 0)
         ranks.reverse()
-        yield SpectrumPoint(tuple(ranks), values, INTERIOR, (mu,))
+        yield SpectrumPoint(tuple(ranks), INTERIOR, (mu,))
 
 
 def boundary_points(cfg: SpectrumConfig) -> List[SpectrumPoint]:
@@ -211,8 +183,7 @@ def boundary_points(cfg: SpectrumConfig) -> List[SpectrumPoint]:
     by_ranks: Dict[Tuple[int, ...], List[BoundaryPattern]] = {}
     for pattern in boundary_patterns(cfg):
         by_ranks.setdefault(boundary_ranks(pattern, cfg), []).append(pattern)
-    values = coordinate_values(cfg)
-    return [SpectrumPoint(ranks, values, BOUNDARY, tuple(patterns))
+    return [SpectrumPoint(ranks, BOUNDARY, tuple(patterns))
             for ranks, patterns in sorted(by_ranks.items())]
 
 
@@ -407,30 +378,25 @@ def point_provenance(point: SpectrumPoint) -> str:
     return "|".join(map(render_provenance, provenance))
 
 
-def _csv_fields(table: Sequence[Fraction]) -> Tuple[List[str], List[str]]:
-    """Each table value as the CSV field after its comma: exact, and decimal."""
-    return ["," + frac_str(x) for x in table], ["," + decimal15(x) for x in table]
-
-
-def emit_csv(points: Iterable[SpectrumPoint], n: int) -> str:
+def emit_csv(points: Iterable[SpectrumPoint], cfg: SpectrumConfig) -> str:
     """The dataset as CSV: a header, then one row per point.
 
     ``points`` is read once, so a stream such as :func:`enumerate_spectrum`
     is never held whole.  The text is one join over shared fragments: the
-    kind, the separators and the per-table field strings, with one
-    provenance string per point.  No row string is built, and the closing
-    newline is the last fragment, so the text is never copied whole.
+    kind, the separators and each table value's two field strings (exact
+    and decimal), with one provenance string per point.  No row string is
+    built, and the closing newline is the last fragment, so the text is
+    never copied whole.
     """
     header = ["kind", "provenance"]
-    header.extend("x%d" % k for k in range(1, n + 1))
-    header.extend("x%d_dec" % k for k in range(1, n + 1))
+    header.extend("x%d" % k for k in range(1, cfg.n + 1))
+    header.extend("x%d_dec" % k for k in range(1, cfg.n + 1))
+    values = coordinate_values(cfg)
+    exact = ["," + frac_str(x) for x in values]
+    dec = ["," + decimal15(x) for x in values]
     fragments = [",".join(header)]
     extend = fragments.extend
-    table = None
     for point in points:
-        if point.table is not table:
-            table = point.table
-            exact, dec = _csv_fields(table)
         ranks = point.ranks
         extend(("\n", point.kind, ",", point_provenance(point)))
         extend(map(exact.__getitem__, ranks))
@@ -455,7 +421,7 @@ def _ratio2(num: int, den: int) -> str:
 
 
 class _AxisTexts(dict):
-    """Pixel texts along one axis of one table, keyed by the rank tuple the
+    """Pixel texts along one axis of a table, keyed by the rank tuple the
     axis reads and filled on first use.
 
     With the table written over a common denominator as ``nums[r] / den``,
@@ -477,7 +443,7 @@ class _AxisTexts(dict):
 
 def _pixel_texts(table: Sequence[Fraction], n: int,
                  scale: Fraction) -> Tuple[_AxisTexts, _AxisTexts]:
-    """The x and y memos of one table: x reads ranks ``[:n - 1]`` (x1, and
+    """The x and y memos of a table: x reads ranks ``[:n - 1]`` (x1, and
     x2 for n = 3), y reads ranks ``[1:]`` (x2 for n = 3, and x_n)."""
     table_den = lcm(*(x.denominator for x in table))
     nums = [x.numerator * (table_den // x.denominator) for x in table]
@@ -497,7 +463,7 @@ def check_svg_dimension(n: int) -> None:
         raise ValueError("svg emission supports n = 2 or 3 only; use csv")
 
 
-def emit_svg(points: Iterable[SpectrumPoint], n: int) -> str:
+def emit_svg(points: Iterable[SpectrumPoint], cfg: SpectrumConfig) -> str:
     """Unit square (n=2) or projected unit cube (n=3) with the point set.
 
     Interior points are filled dots, boundary points open squares.  Output
@@ -506,6 +472,7 @@ def emit_svg(points: Iterable[SpectrumPoint], n: int) -> str:
     fragments (markup and memoised pixel texts) and one provenance string
     per point, closing newline included.
     """
+    n = cfg.n
     check_svg_dimension(n)
     span = Fraction(1) if n == 2 else Fraction(7, 5)
     scale = (_SVG_SIZE - 2 * _SVG_MARGIN) / span
@@ -525,13 +492,10 @@ def emit_svg(points: Iterable[SpectrumPoint], n: int) -> str:
                              'stroke="#888888" stroke-width="1"/>'
                              % (x_frame[start[:n - 1]][0], y_frame[start[1:]][0],
                                 x_frame[end[:n - 1]][0], y_frame[end[1:]][0]))
+    x_texts, y_texts = _pixel_texts(coordinate_values(cfg), n, scale)
     fragments = ["\n".join(lines)]
     extend = fragments.extend
-    table = None
     for point in points:
-        if point.table is not table:
-            table = point.table
-            x_texts, y_texts = _pixel_texts(table, n, scale)
         ranks = point.ranks
         x_text, y_text = x_texts[ranks[:n - 1]], y_texts[ranks[1:]]
         kind = point.kind

@@ -30,11 +30,11 @@ from .fock import (MultiIndex, TruncationParams, basis_degrees,
                    check_guarded_identity, column_map, indices_up_to)
 from .sparse import PhaseMatrix, SparseOp, frac_str
 from .spectrum import (SpectrumConfig, boundary_points, boundary_convergence_report,
-                       interior_points, r_value, verify_multiplicativity)
+                       coordinate_values, interior_points, r_value,
+                       verify_multiplicativity)
 from .words import (GeneratorSymbol, NormalForm, NormalMonomial, ProductResult, Word,
                     _compose_codes, creation_guard, evaluate, evaluate_word,
-                    precedes, precedes_pivot, projection_product, rewrite,
-                    word_text)
+                    precedes_pivot, projection_product, rewrite, word_text)
 from . import gauge as gauge_mod
 
 RANDOM_SEED = 74207281  # fixed so every run reproduces the same word sample
@@ -222,7 +222,8 @@ def projections_suite(n: int, max_degree: int = 6, degree_cap: int = 4) -> dict:
     # a product of diagonal projections fixes the columns both fix
     masks = {mu: _fixed_mask(matrix) for mu, matrix in matrices.items()}
     failures, first_failure, pivots_used = 0, None, set()
-    for mu, nu in cartesian(indices, repeat=2):
+    below = [0] * len(indices)  # bit j of below[i] set when indices[j] < indices[i]
+    for (i, mu), (j, nu) in cartesian(enumerate(indices), repeat=2):
         symbolic = projection_product(mu, nu)
         m_mu, m_nu = masks[mu], masks[nu]
         if m_mu is None or m_nu is None:
@@ -240,15 +241,17 @@ def projections_suite(n: int, max_degree: int = 6, degree_cap: int = 4) -> dict:
             first_failure = first_failure or {
                 "mu": list(mu), "nu": list(nu), "symbolic": symbolic.value,
                 "matrix": oracle.value if oracle else "mixed"}
-        pivots_used.add(precedes_pivot(nu, mu))
-    pivots_used.discard(None)  # the pairs ordered neither way
+        pivot = precedes_pivot(nu, mu)
+        if pivot is not None:
+            pivots_used.add(pivot)
+            below[i] |= 1 << j
     checks = [_check("product-rule-matches-matrix-oracle", len(indices) ** 2,
                      failures, first_failure)]
     failures, first_failure = 0, None
-    for mu, nu in cartesian(indices, repeat=2):
-        if mu != nu and precedes(mu, nu) and precedes(nu, mu):
+    for i, j in cartesian(range(len(indices)), repeat=2):
+        if i != j and below[i] >> j & below[j] >> i & 1:  # each precedes the other
             failures += 1
-            first_failure = first_failure or {"mu": list(mu), "nu": list(nu)}
+            first_failure = first_failure or {"mu": list(indices[i]), "nu": list(indices[j])}
     checks.append(_check("order-antisymmetric", len(indices) * (len(indices) - 1),
                          failures, first_failure))
     pivots = sorted(pivots_used)
@@ -458,9 +461,9 @@ def spectrum_suite(n: int, max_degree: int, c: Fraction) -> dict:
     cfg = SpectrumConfig(n, max_degree, c)
     interior = list(interior_points(cfg))
     boundary = boundary_points(cfg)
-    # coordinates are read from the shared table, once per point
-    interior_coords = [point.coords for point in interior]
-    boundary_coords = [point.coords for point in boundary]
+    values = coordinate_values(cfg)  # coordinates are read once per point
+    interior_coords = [point.coords(values) for point in interior]
+    boundary_coords = [point.coords(values) for point in boundary]
     interior_coord_set = set(interior_coords)
     boundary_coord_set = set(boundary_coords)
     checks: List[dict] = []

@@ -117,7 +117,7 @@ def test_criterion_5_masa_expectation(n):
 
 def test_criterion_6_spectrum_dataset():
     cfg = SpectrumConfig(2, 8, HALF)
-    text = emit_csv(enumerate_spectrum(cfg), 2)
+    text = emit_csv(enumerate_spectrum(cfg), cfg)
     interior = set()
     boundary = set()
     for line in text.splitlines()[1:]:

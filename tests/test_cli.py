@@ -102,9 +102,9 @@ def test_spectrum_streams_the_points_into_the_emitter(tmp_path, monkeypatch, fmt
     emit = getattr(cli, name)
     received = []
 
-    def spy(points, n):
+    def spy(points, cfg):
         received.append(points)
-        return emit(points, n)
+        return emit(points, cfg)
 
     monkeypatch.setattr(cli, name, spy)
     out = tmp_path / ("points." + fmt)

@@ -108,7 +108,7 @@ def test_oracle_keeps_one_failure_payload(monkeypatch):
 
 
 def test_antisymmetry_keeps_one_failure_payload(monkeypatch):
-    monkeypatch.setattr(suites, "precedes", lambda mu, nu: True)
+    monkeypatch.setattr(suites, "precedes_pivot", lambda nu, mu: 1)
     report = projections_suite(3, 6, degree_cap=3)
     m = len(indices_up_to(3, 3))
     check = _check(report, "order-antisymmetric")

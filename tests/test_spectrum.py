@@ -39,11 +39,11 @@ def test_r_value_formula():
 
 
 def test_embed_examples():
-    assert embed((1, 1), HALF).coords == (Fraction(3, 4), HALF)
-    assert embed((0, 0), HALF).coords == (Fraction(0), Fraction(0))
-    assert embed((2, 0), HALF).coords == (Fraction(3, 4), Fraction(0))
-    point = embed((2, 1), HALF)
-    assert point.kind == INTERIOR and point.coords == (Fraction(7, 8), HALF)
+    assert embed((1, 1), HALF) == (Fraction(3, 4), HALF)
+    assert embed((0, 0), HALF) == (Fraction(0), Fraction(0))
+    assert embed((2, 0), HALF) == (Fraction(3, 4), Fraction(0))
+    assert embed((2, 1), HALF) == (Fraction(7, 8), HALF)
+    assert embed((1, 2), HALF) != embed((1, 2), Fraction(1, 3))
 
 
 def test_config_validation():
@@ -77,15 +77,19 @@ def test_coordinate_values_table(q, degree, data):
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
-def test_points_compare_by_coordinates_across_tables():
+def test_points_compare_and_hash_by_ranks_kind_and_provenance():
+    assert SpectrumPoint._fields == ("ranks", "kind", "provenance")
     cfg = SpectrumConfig(3, 5, Fraction(2, 7))
-    for point in interior_points(cfg):
-        other = embed(point.provenance[0], cfg.c)
-        assert other.table is not point.table
-        assert other == point and hash(other) == hash(point)
-    assert embed((1, 2), HALF) != embed((1, 2), Fraction(1, 3))
-    assert embed((1, 2), HALF) != SpectrumPoint((3, 2), coordinate_values(
-        SpectrumConfig(2, 3, HALF)), BOUNDARY, ((1, 2),))
+    first, second = list(enumerate_spectrum(cfg)), list(enumerate_spectrum(cfg))
+    for a, b in zip(first, second):
+        assert a is not b and a.ranks is not b.ranks
+        assert a == b and hash(a) == hash(b)
+    assert len(set(first)) == len(first)
+    point = SpectrumPoint((3, 2), INTERIOR, ((1, 2),))
+    assert point == ((3, 2), INTERIOR, ((1, 2),))
+    assert point != point._replace(kind=BOUNDARY)
+    assert point != point._replace(ranks=(3, 1))
+    assert point != point._replace(provenance=((2, 1),))
 
 
 def test_interior_count_is_stars_and_bars():
@@ -95,13 +99,14 @@ def test_interior_count_is_stars_and_bars():
 
 def test_interior_has_no_coordinate_one():
     cfg = SpectrumConfig(3, 4, Fraction(2, 3))
+    values = coordinate_values(cfg)
     for point in interior_points(cfg):
-        assert all(x != 1 for x in point.coords)
+        assert all(x != 1 for x in point.coords(values))
 
 
 def test_boundary_enumeration_n2():
     cfg = SpectrumConfig(2, 3, HALF)
-    coords = {p.coords for p in boundary_points(cfg)}
+    coords = {p.coords(coordinate_values(cfg)) for p in boundary_points(cfg)}
     assert (Fraction(1), Fraction(0)) in coords
     assert (Fraction(1), HALF) in coords
     assert (Fraction(0), Fraction(1)) in coords
@@ -113,26 +118,27 @@ def test_boundary_enumeration_n2():
 def test_boundary_shape_invariants():
     cfg = SpectrumConfig(3, 3, HALF)
     for point in boundary_points(cfg):
-        pattern = point.provenance[0]
-        k = pattern.pivot
-        assert point.coords[k - 1] == 1
-        assert all(point.coords[j] in (Fraction(0), Fraction(1)) for j in range(k - 1))
-        assert all(point.coords[j] < 1 for j in range(k, cfg.n))
+        k = point.provenance[0].pivot
+        coords = point.coords(coordinate_values(cfg))
+        assert coords[k - 1] == 1
+        assert all(coords[j] in (Fraction(0), Fraction(1)) for j in range(k - 1))
+        assert all(coords[j] < 1 for j in range(k, cfg.n))
 
 
 def test_one_enumeration_shares_one_table():
     cfg = SpectrumConfig(3, 4, Fraction(2, 9))
-    assert len({id(p.table) for p in enumerate_spectrum(cfg)}) == 1
+    values = coordinate_values(cfg)
+    assert coordinate_values(SpectrumConfig(3, 4, Fraction(2, 9))) is values
+    assert all(0 <= r < len(values) for p in enumerate_spectrum(cfg) for r in p.ranks)
     assert coordinate_values.cache_info().maxsize is not None
 
 
 def test_enumeration_is_deterministic_and_deduplicated():
     cfg = SpectrumConfig(2, 4, HALF)
     first = list(enumerate_spectrum(cfg))
-    second = list(enumerate_spectrum(cfg))
-    assert [(p.coords, p.kind) for p in first] == [(p.coords, p.kind) for p in second]
-    boundary_coords = [p.coords for p in first if p.kind == BOUNDARY]
-    assert len(boundary_coords) == len(set(boundary_coords))
+    assert first == list(enumerate_spectrum(cfg))
+    boundary_ranks = [p.ranks for p in first if p.kind == BOUNDARY]
+    assert len(boundary_ranks) == len(set(boundary_ranks))
 
 
 def test_functional_values():
@@ -403,7 +409,7 @@ def test_provenance_rendering():
 
 def test_csv_format():
     cfg = SpectrumConfig(2, 3, HALF)
-    text = emit_csv(enumerate_spectrum(cfg), 2)
+    text = emit_csv(enumerate_spectrum(cfg), cfg)
     lines = text.splitlines()
     assert lines[0] == "kind,provenance,x1,x2,x1_dec,x2_dec"
     assert "interior,(1;1),3/4,1/2,0.75,0.5" in lines
@@ -411,14 +417,15 @@ def test_csv_format():
 
 
 def test_csv_empty_is_header_only():
-    assert emit_csv([], 2) == "kind,provenance,x1,x2,x1_dec,x2_dec\n"
+    header = "kind,provenance,x1,x2,x1_dec,x2_dec\n"
+    assert emit_csv([], SpectrumConfig(2, 3, HALF)) == header
 
 
 def test_svg_n2_well_formed_and_deterministic():
     cfg = SpectrumConfig(2, 3, HALF)
     points = list(enumerate_spectrum(cfg))
-    svg = emit_svg(points, 2)
-    assert svg == emit_svg(points, 2)
+    svg = emit_svg(points, cfg)
+    assert svg == emit_svg(points, cfg)
     assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
     assert svg.count("<circle") == len(list(interior_points(cfg)))
     assert svg.count("<rect x=") == len(boundary_points(cfg))
@@ -430,7 +437,7 @@ def test_svg_n2_well_formed_and_deterministic():
 
 def test_svg_n3_projection():
     cfg = SpectrumConfig(3, 2, HALF)
-    svg = emit_svg(enumerate_spectrum(cfg), 3)
+    svg = emit_svg(enumerate_spectrum(cfg), cfg)
     assert svg.count("<line") == 12  # projected cube frame
 
 
@@ -468,30 +475,32 @@ def test_integer_pixel_rounding_matches_fmt2(num, den):
 
 def test_svg_rejects_higher_dimensions():
     with pytest.raises(ValueError):
-        emit_svg([], 4)
+        emit_svg([], SpectrumConfig(4, 1, HALF))
 
 
-def _csv_reference(points, n):
+def _csv_reference(points, cfg):
     """The emitter loop rendering every coordinate of every point."""
+    n, values = cfg.n, coordinate_values(cfg)
     header = ["kind", "provenance"]
     header.extend("x%d" % k for k in range(1, n + 1))
     header.extend("x%d_dec" % k for k in range(1, n + 1))
     lines = [",".join(header)]
     for point in points:
         row = [point.kind, point_provenance(point)]
-        row.extend(frac_str(x) for x in point.coords)
-        row.extend(decimal15(x) for x in point.coords)
+        row.extend(frac_str(x) for x in point.coords(values))
+        row.extend(decimal15(x) for x in point.coords(values))
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
 
-def _svg_reference(points, n):
+def _svg_reference(points, cfg):
     """The emitter loop projecting and rendering every point on its own,
     after the header and the frame: every pair of unit-cube corners one slot
     apart, drawn once from the lexicographically smaller corner."""
     lines = ['<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
              'viewBox="0 0 %d %d">\n' % ((_SVG_SIZE,) * 4),
              '<rect width="%d" height="%d" fill="white"/>\n' % (_SVG_SIZE, _SVG_SIZE)]
+    n, values = cfg.n, coordinate_values(cfg)
     scale = (_SVG_SIZE - 2 * _SVG_MARGIN) / (Fraction(1) if n == 2 else Fraction(7, 5))
     cube = list(product((Fraction(0), Fraction(1)), repeat=n))
     for c1 in cube:
@@ -503,7 +512,7 @@ def _svg_reference(points, n):
                              'stroke="#888888" stroke-width="1"/>\n'
                              % (_fmt2(x1), _fmt2(y1), _fmt2(x2), _fmt2(y2)))
     for point in points:
-        px, py = _pixel(*_project(point.coords), scale)
+        px, py = _pixel(*_project(point.coords(values)), scale)
         title = "%s %s" % (point.kind, point_provenance(point))
         if point.kind == INTERIOR:
             lines.append('<circle cx="%s" cy="%s" r="4" fill="#c0392b">'
@@ -520,12 +529,15 @@ def _svg_reference(points, n):
 def _check_against_references(cfg):
     indices = indices_up_to(cfg.n, cfg.max_degree)
     interior = list(interior_points(cfg))
-    assert [p.coords for p in interior] == [
-        tuple(1 - cfg.c ** r_value(mu, k) for k in range(1, cfg.n + 1)) for mu in indices]
-    assert interior == [embed(mu, cfg.c) for mu in indices]
+    assert [p.provenance for p in interior] == [(mu,) for mu in indices]
+    values = coordinate_values(cfg)
+    assert [p.coords(values) for p in interior] == [embed(mu, cfg.c) for mu in indices]
     points = list(enumerate_spectrum(cfg))
-    assert emit_csv(points, cfg.n) == _csv_reference(points, cfg.n)
-    assert emit_svg(points, cfg.n) == _svg_reference(points, cfg.n)
+    shuffled = list(points)
+    random.Random(5).shuffle(shuffled)
+    for order in (points, shuffled):
+        assert emit_csv(order, cfg) == _csv_reference(order, cfg)
+        assert emit_svg(order, cfg) == _svg_reference(order, cfg)
 
 
 @pytest.mark.parametrize("n,degree", [(2, 12), (3, 10), (4, 6)])
@@ -536,8 +548,9 @@ def test_interior_stream_follows_the_basis_order(n, degree):
     points = list(stream)
     basis = enumerate_basis(TruncationParams(n, degree))
     assert [p.provenance for p in points] == [(mu,) for mu in basis]
-    assert points == [embed(mu, cfg.c) for mu in basis]
-    assert all(p.table is coordinate_values(cfg) for p in points)
+    assert all(p.kind == INTERIOR for p in points)
+    values = coordinate_values(cfg)
+    assert [p.coords(values) for p in points] == [embed(mu, cfg.c) for mu in basis]
 
 
 @pytest.mark.parametrize("n,degree", [(2, 12), (3, 10)])
@@ -547,7 +560,7 @@ def test_emitters_read_a_one_shot_stream(n, degree):
     for emit in (emit_csv, emit_svg):
         stream = enumerate_spectrum(cfg)
         assert iter(stream) is stream and not isinstance(stream, (list, tuple))
-        assert emit(stream, n) == emit(points, n)
+        assert emit(stream, cfg) == emit(points, cfg)
         assert next(stream, None) is None  # read through, once
 
 
@@ -565,47 +578,16 @@ def test_emitters_match_reference_loops_property(n, degree, q, data):
     _check_against_references(SpectrumConfig(n, degree, Fraction(p, q)))
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_emitters_do_not_rely_on_shared_coordinate_objects(n):
-    cfg = SpectrumConfig(n, 6, Fraction(3, 7))
-    shared = coordinate_values(cfg)
-    table = tuple(Fraction(x.numerator, x.denominator) for x in shared)
-    assert table == shared and table[1] is not shared[1]
-    points = [SpectrumPoint(p.ranks, table, p.kind, p.provenance)
-              for p in enumerate_spectrum(cfg)]
-    random.Random(5).shuffle(points)
-    assert emit_csv(points, n) == _csv_reference(points, n)
-    assert emit_svg(points, n) == _svg_reference(points, n)
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_emitters_accept_points_of_many_tables(n):
-    # embed builds a table per point, sized by the index's degree; boundary
-    # points index the table of their enumeration
-    cfg = SpectrumConfig(n, 5, Fraction(3, 7))
-    points = [embed(mu, c) for mu in indices_up_to(n, 5)
-              for c in (cfg.c, Fraction(5, 11))] + boundary_points(cfg)
-    random.Random(3).shuffle(points)
-    assert len({id(p.table) for p in points}) > 2
-    assert emit_csv(points, n) == _csv_reference(points, n)
-    assert emit_svg(points, n) == _svg_reference(points, n)
-    # a generator frees each table after use, so CPython may hand its
-    # address to the next one: state kept by table identity must not go stale
-    assert emit_csv(iter(points), n) == _csv_reference(points, n)
-    lazy = (embed(mu, Fraction(k, 13)) for mu in indices_up_to(n, 4) for k in (2, 3, 5))
-    eager = [embed(mu, Fraction(k, 13)) for mu in indices_up_to(n, 4) for k in (2, 3, 5)]
-    assert emit_csv(lazy, n) == _csv_reference(eager, n)
-
-
 @pytest.mark.parametrize("emit", [emit_csv, emit_svg])
 def test_emission_holds_the_text_once(emit):
     # the fragments and the text they join into peak at 2.1-2.8 times the
     # text on CPython 3.10-3.13; a second whole copy of the text adds 1
-    points = enumerate_spectrum(SpectrumConfig(3, 30, Fraction(1, 3)))
+    cfg = SpectrumConfig(3, 30, Fraction(1, 3))
+    points = enumerate_spectrum(cfg)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        text = emit(points, 3)
+        text = emit(points, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -635,7 +617,8 @@ GOLDEN_DIGESTS = {
 
 @pytest.mark.parametrize("n,degree,c", sorted(GOLDEN_DIGESTS))
 def test_dataset_golden_digests(n, degree, c):
-    points = list(enumerate_spectrum(SpectrumConfig(n, degree, c)))
-    digests = tuple(hashlib.sha256(emit(points, n).encode("utf-8")).hexdigest()
+    cfg = SpectrumConfig(n, degree, c)
+    points = list(enumerate_spectrum(cfg))
+    digests = tuple(hashlib.sha256(emit(points, cfg).encode("utf-8")).hexdigest()
                     for emit in (emit_csv, emit_svg))
     assert digests == GOLDEN_DIGESTS[(n, degree, c)]
