@@ -7,8 +7,8 @@ and gauge-covariance checks over sampled roots of unity -- every symbolic
 rule validated against a brute-force matrix oracle, all arithmetic exact.
 """
 
-from .fock import (CheckResult, MultiIndex, TruncationParams, check_guarded_identity,
-                   enumerate_basis)
+from .fock import (CheckResult, MultiIndex, Tally, TruncationParams,
+                   check_guarded_identity, enumerate_basis)
 from .gauge import (BLOCK_SHIFT_UNITARY, PAPER_UNITARY, BundleRep, build_bundle,
                     check_covariance, check_quotient_relation, gauge_unitary,
                     vacuum_operator_spectrum)
@@ -27,7 +27,7 @@ __all__ = [
     "BLOCK_SHIFT_UNITARY", "BundleRep", "CheckResult", "FunctionalKey",
     "GeneratorSymbol", "MultiIndex", "NormalForm", "NormalMonomial",
     "PAPER_UNITARY", "PhaseMatrix", "ProductResult", "SparseOp",
-    "SpectrumConfig", "SpectrumPoint", "TruncationParams", "Word",
+    "SpectrumConfig", "SpectrumPoint", "Tally", "TruncationParams", "Word",
     "build_bundle", "check_covariance", "check_guarded_identity",
     "check_quotient_relation", "creation_guard", "embed", "emit_csv",
     "emit_svg", "enumerate_basis", "enumerate_spectrum", "evaluate",

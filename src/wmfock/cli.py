@@ -20,8 +20,7 @@ from typing import Optional, Sequence
 from . import gauge as gauge_mod
 from . import suites
 from .fock import TruncationParams
-from .spectrum import (SpectrumConfig, check_svg_dimension, emit_csv, emit_svg,
-                       enumerate_spectrum)
+from .spectrum import SpectrumConfig, emit_csv, emit_svg, enumerate_spectrum
 from .words import (GeneratorIndexError, WordSyntaxError, creation_guard,
                     evaluate, evaluate_word, parse_word, rewrite)
 
@@ -135,8 +134,6 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     cfg = SpectrumConfig(args.n, args.max_degree, args.c)
-    if args.format == "svg":
-        check_svg_dimension(cfg.n)  # before the enumeration, which may be long
     emit = emit_csv if args.format == "csv" else emit_svg
     _write_output(emit(enumerate_spectrum(cfg), cfg), args.out)  # the stream is read once
     return 0

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .sparse import PhaseMatrix, SparseOp, frac_str
 
@@ -160,6 +160,23 @@ class CheckResult:
     columns_checked: int
     first_failure: Optional[dict] = None
     truncation_artifact: bool = False
+
+
+class Tally:
+    """The failure books of one check: every failure is counted, and only
+    the first one's payload is built, by calling the ``payload`` given to
+    :meth:`fail`.  A check that passes never calls it."""
+
+    __slots__ = ("failures", "first")
+
+    def __init__(self) -> None:
+        self.failures = 0
+        self.first: Optional[dict] = None
+
+    def fail(self, payload: Callable[[], Optional[dict]]) -> None:
+        if not self.failures:
+            self.first = payload()
+        self.failures += 1
 
 
 def check_guarded_identity(params: TruncationParams, lhs: SparseOp, rhs: SparseOp,

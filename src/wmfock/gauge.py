@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import List, Tuple
 
-from .fock import TruncationParams, basis_degrees, column_map
+from .fock import Tally, TruncationParams, basis_degrees, column_map
 from .sparse import PhaseMatrix
 
 PAPER_UNITARY = "paper"
@@ -158,7 +158,6 @@ def _build_unitary(rep: BundleRep, w: int, variant: str) -> GaugeUnitary:
 @dataclass
 class CovarianceResult:
     ok: bool
-    cases: int
     failures: List[dict]
 
 
@@ -177,23 +176,21 @@ def check_covariance(rep: BundleRep, index: int, w: int, variant: str) -> Covari
             "basisRow": row_pos, "basisCol": col_pos,
             "gotExponent": got, "wantExponent": want,
         })
-    return CovarianceResult(ok=not failures, cases=rep.dim, failures=failures)
+    return CovarianceResult(ok=not failures, failures=failures)
 
 
-def check_group_law(rep: BundleRep, variant: str) -> dict:
-    """U_w U_w' = U_(w w') for all sampled roots, exactly."""
-    cases = 0
-    failures = []
+def check_group_law(rep: BundleRep, variant: str) -> Tuple[int, Tally]:
+    """U_w U_w' = U_(w w') for all sampled roots, exactly: the number of
+    cases and their tally."""
+    tally = Tally()
     for w1 in range(rep.roots):
         u1 = gauge_unitary(rep, w1, variant)
         for w2 in range(rep.roots):
             u2 = gauge_unitary(rep, w2, variant)
             composed = gauge_unitary(rep, w1 + w2, variant)
-            cases += 1
             if u1.matrix @ u2.matrix != composed.matrix:
-                failures.append({"w1": w1, "w2": w2})
-    return {"cases": cases, "failures": len(failures),
-            "first_failure": failures[0] if failures else None}
+                tally.fail(lambda: {"w1": w1, "w2": w2})
+    return rep.roots ** 2, tally
 
 
 def vacuum_operator_spectrum(rep: BundleRep) -> dict:

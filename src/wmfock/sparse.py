@@ -269,7 +269,3 @@ class PhaseMatrix:
         image = self.image
         stop = len(image) if limit is None else min(limit, len(image))
         return {c: 1 for c in range(stop) if image[c] == c}
-
-    def to_op(self) -> SparseOp:
-        """The 0/1 matrix of an order-1 map."""
-        return SparseOp.from_terms(len(self.image), [(1, self)])

@@ -48,7 +48,7 @@ from itertools import product
 from math import lcm
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .fock import MultiIndex, indices_up_to, iter_indices
+from .fock import MultiIndex, Tally, indices_up_to, iter_indices
 from .sparse import frac_str
 from .words import ProductResult, precedes, projection_product
 
@@ -246,7 +246,8 @@ def functional_apply(key: FunctionalKey, nu: MultiIndex, vacuum_flag: bool = Fal
     return 1 if (nu == key.mu or precedes(nu, key.mu)) else 0
 
 
-def verify_multiplicativity(cfg: SpectrumConfig, degree_cap: int) -> dict:
+def verify_multiplicativity(cfg: SpectrumConfig, degree_cap: int
+                            ) -> Tuple[int, Tally, Tally]:
     """Exhaustively check phi(P_nu P_rho) = phi(P_nu) phi(P_rho).
 
     Products are resolved by :func:`wmfock.words.projection_product`; when a
@@ -255,15 +256,15 @@ def verify_multiplicativity(cfg: SpectrumConfig, degree_cap: int) -> dict:
     are reported separately as caveats, not as failures, because a constant
     functional cannot be multiplicative on a zero product.  Each functional
     is evaluated once per index, as a row read by every case of its key.
-    Failures and caveats are counted; only the first of each is kept.
+    Returns the number of cases, the tally of failures and the tally of
+    caveats.
     """
     if degree_cap > cfg.max_degree:
         raise ValueError("degree cap exceeds max_degree")
     indices = indices_up_to(cfg.n, degree_cap)
     keys = [FunctionalKey.vacuum(), FunctionalKey.identity()]
     keys.extend(FunctionalKey.point(mu) for mu in indices)
-    failures = caveats = 0
-    first_failure = first_caveat = None
+    failures, caveats = Tally(), Tally()
     zero, left = ProductResult.ZERO, ProductResult.LEFT_SURVIVES
     for key in keys:
         row = [functional_apply(key, nu) for nu in indices]
@@ -279,31 +280,18 @@ def verify_multiplicativity(cfg: SpectrumConfig, degree_cap: int) -> dict:
                 expected = nu_value * rho_value
                 if product_value != expected:
                     if key.kind == "identity" and outcome is zero:
-                        caveats += 1
-                        if first_caveat is None:
-                            first_caveat = {"nu": list(nu), "rho": list(rho)}
+                        caveats.fail(lambda: {"nu": list(nu), "rho": list(rho)})
                     else:
-                        failures += 1
-                        if first_failure is None:
-                            first_failure = {
-                                "functional": key.render(),
-                                "nu": list(nu), "rho": list(rho),
-                                "product": outcome.value,
-                                "got": product_value, "want": expected,
-                            }
-    return {
-        "cases": len(keys) * len(indices) ** 2,
-        "failures": failures,
-        "first_failure": first_failure,
-        "identity_zero_product_caveats": caveats,
-        "first_caveat": first_caveat,
-    }
+                        failures.fail(lambda: {
+                            "functional": key.render(), "nu": list(nu), "rho": list(rho),
+                            "product": outcome.value, "got": product_value, "want": expected})
+    return len(keys) * len(indices) ** 2, failures, caveats
 
 
 P_LIMIT = 20  # family members p = 1..P_LIMIT checked per boundary pattern
 
 
-def boundary_convergence_report(cfg: SpectrumConfig) -> dict:
+def boundary_convergence_report(cfg: SpectrumConfig) -> Tuple[int, Tally]:
     """Exact check that the approximating families reach their boundary points.
 
     For every boundary pattern and p = 1..P_LIMIT, on the exponents
@@ -314,12 +302,12 @@ def boundary_convergence_report(cfg: SpectrumConfig) -> dict:
     0 < c < 1, ``1 - c**r`` is strictly increasing in r, so these are the
     comparisons of the coordinates themselves; the limit rank
     ``max_degree + 1`` stands for the coordinate 1 and matches no finite
-    exponent.  Only the first failure's payload is built.
+    exponent.  Returns the number of cases and their tally.
     """
     n, top = cfg.n, cfg.max_degree + 1
-    cases = failures = 0
-    first_failure = None
-    for pattern in boundary_patterns(cfg):
+    patterns = boundary_patterns(cfg)
+    tally = Tally()
+    for pattern in patterns:
         k = pattern.pivot
         limit = boundary_ranks(pattern, cfg)[k:]
         zeros = [j for j, b in enumerate(pattern.bits) if not b]
@@ -333,13 +321,10 @@ def boundary_convergence_report(cfg: SpectrumConfig) -> dict:
                   and all(a == b != top for a, b in zip(r[k:], limit))
                   and not any(r[j] for j in zeros)
                   and (previous is None or all(r[j] > previous[j] for j in climbing)))
-            cases += 1
             if not ok:
-                failures += 1
-                if first_failure is None:
-                    first_failure = {"pattern": render_provenance(pattern), "p": p}
+                tally.fail(lambda: {"pattern": render_provenance(pattern), "p": p})
             previous = r
-    return {"cases": cases, "failures": failures, "first_failure": first_failure}
+    return P_LIMIT * len(patterns), tally
 
 
 # ---------------------------------------------------------------------------
@@ -457,14 +442,9 @@ def _pixel_texts(table: Sequence[Fraction], n: int,
             _AxisTexts((_SVG_SIZE - _SVG_MARGIN) * den, y_weights, nums, den))
 
 
-def check_svg_dimension(n: int) -> None:
-    """Raise ``ValueError`` unless :func:`emit_svg` can draw dimension ``n``."""
-    if n not in (2, 3):
-        raise ValueError("svg emission supports n = 2 or 3 only; use csv")
-
-
 def emit_svg(points: Iterable[SpectrumPoint], cfg: SpectrumConfig) -> str:
-    """Unit square (n=2) or projected unit cube (n=3) with the point set.
+    """Unit square (n=2) or projected unit cube (n=3) with the point set;
+    any other ``n`` raises ``ValueError`` before a point is read.
 
     Interior points are filled dots, boundary points open squares.  Output
     is byte-deterministic for a fixed input order, and ``points`` is read
@@ -473,7 +453,8 @@ def emit_svg(points: Iterable[SpectrumPoint], cfg: SpectrumConfig) -> str:
     per point, closing newline included.
     """
     n = cfg.n
-    check_svg_dimension(n)
+    if n not in (2, 3):
+        raise ValueError("svg emission supports n = 2 or 3 only; use csv")
     span = Fraction(1) if n == 2 else Fraction(7, 5)
     scale = (_SVG_SIZE - 2 * _SVG_MARGIN) / span
     lines: List[str] = [

@@ -2,9 +2,10 @@
 
 Each suite returns ``{"suite", "n", "maxDegree", "checks": [...]}`` where a
 check is ``{"name", "cases", "failures", "firstFailure"}`` plus occasional
-informational keys.  Every failure carries its first counterexample in
-full.  Suites are deterministic: randomized checks draw from a fixed seed,
-and all iteration orders are explicit.
+informational keys.  Every check keeps its books in one
+:class:`~wmfock.fock.Tally`: every failure is counted, and only the first
+failure's payload is built.  Suites are deterministic: randomized checks
+draw from a fixed seed, and all iteration orders are explicit.
 
 The matrix side of a check is a direct product of generator matrices and
 never goes through the rewriter.  A single word stays an order-1
@@ -23,10 +24,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product as cartesian
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import masa
-from .fock import (MultiIndex, TruncationParams, basis_degrees,
+from .fock import (MultiIndex, Tally, TruncationParams, basis_degrees,
                    check_guarded_identity, column_map, indices_up_to)
 from .sparse import PhaseMatrix, SparseOp, frac_str
 from .spectrum import (SpectrumConfig, boundary_points, boundary_convergence_report,
@@ -42,12 +43,20 @@ RANDOM_SEED = 74207281  # fixed so every run reproduces the same word sample
 SUITE_NAMES = ("relations", "ck", "projections", "masa", "spectrum", "gauge")
 
 
-def _check(name: str, cases: int, failures: int,
-           first_failure: Optional[dict] = None, **extra) -> dict:
-    out = {"name": name, "cases": cases, "failures": failures,
-           "firstFailure": first_failure}
+def _check(name: str, cases: int, tally: Tally, **extra) -> dict:
+    out = {"name": name, "cases": cases, "failures": tally.failures,
+           "firstFailure": tally.first}
     out.update(extra)
     return out
+
+
+def _verdict(*oks: bool, payload: Callable[[], Optional[dict]] = lambda: None) -> Tally:
+    """A tally with one failure per false verdict in ``oks``."""
+    tally = Tally()
+    for ok in oks:
+        if not ok:
+            tally.fail(payload)
+    return tally
 
 
 def _symbols(*specs: Tuple[int, bool]) -> Word:
@@ -69,13 +78,13 @@ def _guarded_word_check(params: TruncationParams, name: str,
         guard = max(guard, creation_guard(word))
     if guard > params.max_degree:
         # no basis vector leaves room for the excursion; nothing checkable
-        return _check(name, 0, 0, guard=guard, truncationArtifact=False,
+        return _check(name, 0, Tally(), guard=guard, truncationArtifact=False,
                       note="guard exceeds max degree; band empty")
     result = check_guarded_identity(
         params, _word_sum(params, lhs_terms), _word_sum(params, rhs_terms), guard)
-    return _check(name, result.columns_checked, 0 if result.ok else 1,
-                  result.first_failure, guard=guard,
-                  truncationArtifact=result.truncation_artifact)
+    return _check(name, result.columns_checked,
+                  _verdict(result.ok, payload=lambda: result.first_failure),
+                  guard=guard, truncationArtifact=result.truncation_artifact)
 
 
 def _is_adjoint_of(a: PhaseMatrix, b: PhaseMatrix) -> bool:
@@ -119,15 +128,15 @@ def relations_suite(n: int, max_degree: int) -> dict:
         [(1, _symbols((0, False)))]))
     vacuum = evaluate_word(_symbols((0, False)), params)
     checks.append(_check("vacuum-projection-selfadjoint", 1,
-                         0 if _is_adjoint_of(vacuum, vacuum) else 1))
+                         _verdict(_is_adjoint_of(vacuum, vacuum))))
     # a partial injection's rank is its number of live columns
     live = len(vacuum.image) - vacuum.image.count(-1)
-    checks.append(_check("vacuum-projection-rank-one", 1, 0 if live == 1 else 1))
+    checks.append(_check("vacuum-projection-rank-one", 1, _verdict(live == 1)))
     for i in range(1, n + 1):
         creator_op = evaluate_word(_symbols((i, True)), params)
         annihilator_op = evaluate_word(_symbols((i, False)), params)
         checks.append(_check("adjoint-is-transpose-%d" % i, 1,
-                             0 if _is_adjoint_of(creator_op, annihilator_op) else 1))
+                             _verdict(_is_adjoint_of(creator_op, annihilator_op))))
     return {"suite": "relations", "n": n, "maxDegree": max_degree, "checks": checks}
 
 
@@ -143,7 +152,7 @@ def ck_suite(n: int, max_degree: int) -> dict:
     identity_word_terms.insert(0, (1, _symbols((0, False), (0, False))))
     full = _word_sum(params, identity_word_terms)
     checks.append(_check("range-projections-sum-to-identity", params.basis_size,
-                         0 if full == SparseOp.identity(params.basis_size) else 1))
+                         _verdict(full == SparseOp.identity(params.basis_size))))
     for i in range(1, n + 1):
         checks.append(_guarded_word_check(
             params, "support-projection-decomposition-%d" % i,
@@ -156,20 +165,15 @@ def ck_suite(n: int, max_degree: int) -> dict:
             range_proj[j] = evaluate_word(_symbols((0, False)), params)
         else:
             range_proj[j] = evaluate_word(_symbols((j, True), (j, False)), params)
-    ortho_failures = []
-    cases = 0
-    for i in range(n + 1):
-        for j in range(n + 1):
-            if i != j:
-                cases += 1
-                if not (range_proj[i] @ range_proj[j]).is_zero():
-                    ortho_failures.append({"i": i, "j": j})
-    checks.append(_check("range-projections-orthogonal", cases, len(ortho_failures),
-                         ortho_failures[0] if ortho_failures else None))
+    orthogonal = Tally()
+    for i, j in cartesian(range(n + 1), repeat=2):
+        if i != j and not (range_proj[i] @ range_proj[j]).is_zero():
+            orthogonal.fail(lambda: {"i": i, "j": j})
+    checks.append(_check("range-projections-orthogonal", (n + 1) * n, orthogonal))
     # realize the incidence matrix: a_ij = 1 iff Q_i P_j = P_j, 0 iff = 0;
     # the guarded window must hold a degree-1 state to separate the two
     if max_degree < 2:
-        checks.append(_check("incidence-matrix-lower-triangular", 0, 0,
+        checks.append(_check("incidence-matrix-lower-triangular", 0, Tally(),
                              note="needs max degree >= 2 to separate "
                                   "zero from range projections"))
         return {"suite": "ck", "n": n, "maxDegree": max_degree, "checks": checks}
@@ -180,7 +184,7 @@ def ck_suite(n: int, max_degree: int) -> dict:
     for i in range(1, n + 1):
         support[i] = evaluate_word(_symbols((i, False), (i, True)), params)
     realized: List[List[int]] = []
-    mismatch = []
+    mismatch = Tally()
     for i in range(n + 1):
         row = []
         for j in range(n + 1):
@@ -194,10 +198,9 @@ def ck_suite(n: int, max_degree: int) -> dict:
                 row.append(-1)
             expected = 1 if j <= i else 0
             if row[-1] != expected:
-                mismatch.append({"i": i, "j": j, "got": row[-1], "want": expected})
+                mismatch.fail(lambda: {"i": i, "j": j, "got": row[-1], "want": expected})
         realized.append(row)
-    checks.append(_check("incidence-matrix-lower-triangular", (n + 1) ** 2,
-                         len(mismatch), mismatch[0] if mismatch else None,
+    checks.append(_check("incidence-matrix-lower-triangular", (n + 1) ** 2, mismatch,
                          realizedMatrix=realized))
     return {"suite": "ck", "n": n, "maxDegree": max_degree, "checks": checks}
 
@@ -221,7 +224,7 @@ def projections_suite(n: int, max_degree: int = 6, degree_cap: int = 4) -> dict:
                 for mu in indices}
     # a product of diagonal projections fixes the columns both fix
     masks = {mu: _fixed_mask(matrix) for mu, matrix in matrices.items()}
-    failures, first_failure, pivots_used = 0, None, set()
+    product_rule, pivots_used = Tally(), set()
     below = [0] * len(indices)  # bit j of below[i] set when indices[j] < indices[i]
     for (i, mu), (j, nu) in cartesian(enumerate(indices), repeat=2):
         symbolic = projection_product(mu, nu)
@@ -237,27 +240,24 @@ def projections_suite(n: int, max_degree: int = 6, degree_cap: int = 4) -> dict:
                       ProductResult.LEFT_SURVIVES if both == m_mu else
                       ProductResult.RIGHT_SURVIVES if both == m_nu else None)
         if oracle is not symbolic:
-            failures += 1
-            first_failure = first_failure or {
+            product_rule.fail(lambda: {
                 "mu": list(mu), "nu": list(nu), "symbolic": symbolic.value,
-                "matrix": oracle.value if oracle else "mixed"}
+                "matrix": oracle.value if oracle else "mixed"})
         pivot = precedes_pivot(nu, mu)
         if pivot is not None:
             pivots_used.add(pivot)
             below[i] |= 1 << j
-    checks = [_check("product-rule-matches-matrix-oracle", len(indices) ** 2,
-                     failures, first_failure)]
-    failures, first_failure = 0, None
+    checks = [_check("product-rule-matches-matrix-oracle", len(indices) ** 2, product_rule)]
+    antisymmetric = Tally()
     for i, j in cartesian(range(len(indices)), repeat=2):
         if i != j and below[i] >> j & below[j] >> i & 1:  # each precedes the other
-            failures += 1
-            first_failure = first_failure or {"mu": list(indices[i]), "nu": list(indices[j])}
+            antisymmetric.fail(lambda: {"mu": list(indices[i]), "nu": list(indices[j])})
     checks.append(_check("order-antisymmetric", len(indices) * (len(indices) - 1),
-                         failures, first_failure))
+                         antisymmetric))
     pivots = sorted(pivots_used)
-    in_range = pivots == list(range(1, n + 1))
-    checks.append(_check("pivot-range", len(pivots), 0 if in_range else 1,
-                         None if in_range else {"pivotsUsed": pivots},
+    checks.append(_check("pivot-range", len(pivots),
+                         _verdict(pivots == list(range(1, n + 1)),
+                                  payload=lambda: {"pivotsUsed": pivots}),
                          pivotsUsed=pivots, declaredRange=[1, n]))
     return {"suite": "projections", "n": n, "maxDegree": max_degree,
             "degreeCap": degree_cap, "checks": checks}
@@ -321,7 +321,7 @@ def masa_suite(n: int, max_degree: int = 6, degree_cap: int = 4,
     checks: List[dict] = []
 
     rank_indices = [mu for mu in indices_up_to(n, min(rank_cap, max_degree - 1))]
-    rank_failures: List[dict] = []
+    rank = Tally()
     for mu in rank_indices:
         value = evaluate(masa.rank_one_projection(mu, n), params)
         want = masa.matrix_rank_one(mu, params)
@@ -330,13 +330,10 @@ def masa_suite(n: int, max_degree: int = 6, degree_cap: int = 4,
         point_ok = (point.diagonal() == want.diagonal()
                     and point.image.count(-1) == params.basis_size - 1)
         if value != want or not point_ok:
-            rank_failures.append({"mu": list(mu)})
-    checks.append(_check("rank-one-projections", len(rank_indices),
-                         len(rank_failures),
-                         rank_failures[0] if rank_failures else None))
+            rank.fail(lambda: {"mu": list(mu)})
+    checks.append(_check("rank-one-projections", len(rank_indices), rank))
 
-    mono_cases = 0
-    mono_failures: List[dict] = []
+    monomials = Tally()
     indices = indices_up_to(n, degree_cap)
     fixed = monomial_diagonals(params, indices)
     for k, nu in enumerate(indices):
@@ -344,67 +341,53 @@ def masa_suite(n: int, max_degree: int = 6, degree_cap: int = 4,
             guard = max(0, sum(nu) - sum(mu))
             cutoff = params.degree_prefix(max_degree - guard)
             for flag in (False, True):
-                mono_cases += 1
                 expected = masa.expectation_of_monomial(NormalMonomial(nu, flag, mu))
                 # an off-diagonal monomial's expectation is the zero form
                 symbolic_side = (evaluate(expected, params).diagonal(cutoff)
                                  if not expected.is_zero() else {})
                 matrix_side = {c: 1 for c in fixed.get((k, j, flag), ()) if c < cutoff}
                 if matrix_side != symbolic_side:
-                    mono_failures.append({"nu": list(nu), "mu": list(mu),
-                                          "vacuum": flag})
-    checks.append(_check("expectation-of-monomials", mono_cases,
-                         len(mono_failures),
-                         mono_failures[0] if mono_failures else None))
+                    monomials.fail(lambda: {"nu": list(nu), "mu": list(mu), "vacuum": flag})
+    checks.append(_check("expectation-of-monomials", 2 * len(indices) ** 2, monomials))
 
     words = sample_words(n, samples, sample_len, seed)
-    word_failures: List[dict] = []
+    random_words = Tally()
     for word in words:
         guard = creation_guard(word)
         cutoff = params.degree_prefix(max_degree - guard)
         direct = evaluate_word(word, params).diagonal(cutoff)
         symbolic = evaluate(rewrite(word, n).diagonal_part(), params).diagonal(cutoff)
         if direct != symbolic:
-            word_failures.append({"word": word_text(word)})
-    checks.append(_check("expectation-of-random-words", len(words),
-                         len(word_failures),
-                         word_failures[0] if word_failures else None))
+            random_words.fail(lambda: {"word": word_text(word)})
+    checks.append(_check("expectation-of-random-words", len(words), random_words))
 
     positivity_words = sample_words(n, 200, sample_len, seed + 1)
-    pos_failures: List[dict] = []
+    positive = Tally()
     for word in positivity_words:
         op = evaluate_word(word, params)
         try:
             gram = op.adjoint() @ op
         except ArithmeticError:
-            # a faulty generator sent two columns to one row: no word map does
-            pos_failures.append({"word": word_text(word)})
-            continue
-        if any(v < 0 for v in gram.diagonal().values()):
-            pos_failures.append({"word": word_text(word)})
-    checks.append(_check("expectation-positive-on-squares", len(positivity_words),
-                         len(pos_failures),
-                         pos_failures[0] if pos_failures else None))
+            gram = None  # a faulty generator sent two columns to one row: no word map does
+        if gram is None or any(v < 0 for v in gram.diagonal().values()):
+            positive.fail(lambda: {"word": word_text(word)})
+    checks.append(_check("expectation-positive-on-squares", len(positivity_words), positive))
 
     ident = SparseOp.identity(params.basis_size)
     unital = masa.expectation(ident) == ident
     sample_op = evaluate_word(words[0], params) if words else ident
     idem = masa.expectation(masa.expectation(sample_op)) == masa.expectation(sample_op)
-    checks.append(_check("expectation-unital-idempotent", 2,
-                         (0 if unital else 1) + (0 if idem else 1)))
+    checks.append(_check("expectation-unital-idempotent", 2, _verdict(unital, idem)))
 
-    comp_failures: List[dict] = []
-    comp_cases = 0
+    complete = Tally()
     for d in range(max_degree):
-        comp_cases += 1
         total = evaluate(sum((masa.rank_one_projection(mu, n)
                               for mu in indices_up_to(n, d)), NormalForm.zero()), params)
         cutoff = params.degree_prefix(d)
         want = SparseOp(params.basis_size, {(p, p): 1 for p in range(cutoff)})
         if total != want:
-            comp_failures.append({"degree": d})
-    checks.append(_check("diagonal-completeness", comp_cases, len(comp_failures),
-                         comp_failures[0] if comp_failures else None))
+            complete.fail(lambda: {"degree": d})
+    checks.append(_check("diagonal-completeness", max_degree, complete))
     return {"suite": "masa", "n": n, "maxDegree": max_degree, "checks": checks}
 
 
@@ -415,8 +398,7 @@ def masa_suite(n: int, max_degree: int = 6, degree_cap: int = 4,
 
 def soundness_check(words: Iterable[Word], params: TruncationParams) -> dict:
     """evaluate(rewrite(w)) must equal the direct product on the guard band."""
-    cases = 0
-    failures: List[dict] = []
+    cases, tally = 0, Tally()
     for word in words:
         cases += 1
         guard = creation_guard(word)
@@ -424,11 +406,10 @@ def soundness_check(words: Iterable[Word], params: TruncationParams) -> dict:
         direct = evaluate_word(word, params).image[:cutoff]
         reduced = evaluate(rewrite(word, params.n), params, cutoff)
         if reduced.entries != {(row, col): 1 for col, row in enumerate(direct) if row >= 0}:
-            failures.append({"word": word_text(word), "guard": guard})
-            if len(failures) >= 5:
+            tally.fail(lambda: {"word": word_text(word), "guard": guard})
+            if tally.failures >= 5:
                 break
-    return {"cases": cases, "failures": len(failures),
-            "first_failure": failures[0] if failures else None}
+    return {"cases": cases, "failures": tally.failures, "first_failure": tally.first}
 
 
 def exhaustive_words(n: int, max_len: int) -> Iterable[Word]:
@@ -452,6 +433,16 @@ def exhaustive_words(n: int, max_len: int) -> Iterable[Word]:
 # spectrum suite
 # ---------------------------------------------------------------------------
 
+
+def _missing(wanted: Sequence[Tuple[Fraction, ...]], present) -> Tally:
+    """One failure per point of ``wanted`` that is not in ``present``."""
+    tally = Tally()
+    for coords in wanted:
+        if coords not in present:
+            tally.fail(lambda: {"coords": [frac_str(x) for x in coords]})
+    return tally
+
+
 _NAMED_INTERIOR = {  # (r1, r2) exponent patterns of the worked n=2, c=1/2 display
     (1, 0), (2, 0), (3, 0), (0, 1), (2, 1), (3, 1), (0, 2), (3, 2),
 }
@@ -468,17 +459,15 @@ def spectrum_suite(n: int, max_degree: int, c: Fraction) -> dict:
     boundary_coord_set = set(boundary_coords)
     checks: List[dict] = []
 
-    exact_failures: List[dict] = []
+    exact = Tally()
     for point, coords in zip(interior, interior_coords):
         mu = point.provenance[0]
         for k in range(1, n + 1):
             r = r_value(mu, k)
             if not (0 <= r <= n * max_degree) or coords[k - 1] != 1 - cfg.c ** r \
                     or coords[k - 1] == 1:
-                exact_failures.append({"mu": list(mu), "k": k})
-    checks.append(_check("interior-coordinates-exact", len(interior) * n,
-                         len(exact_failures),
-                         exact_failures[0] if exact_failures else None))
+                exact.fail(lambda: {"mu": list(mu), "k": k})
+    checks.append(_check("interior-coordinates-exact", len(interior) * n, exact))
 
     if n == 2:
         # independent pattern oracle: second exponent free, first exponent
@@ -488,20 +477,16 @@ def spectrum_suite(n: int, max_degree: int, c: Fraction) -> dict:
             expected.add((Fraction(0), 1 - cfg.c ** r2))
             for r1 in range(r2 + 1, max_degree + 1):
                 expected.add((1 - cfg.c ** r1, 1 - cfg.c ** r2))
-        ok = interior_coord_set == expected
-        checks.append(_check("interior-matches-pattern-oracle", len(expected),
-                             0 if ok else 1,
-                             None if ok else {"missing": len(expected - interior_coord_set),
-                                              "extra": len(interior_coord_set - expected)}))
+        checks.append(_check("interior-matches-pattern-oracle", len(expected), _verdict(
+            interior_coord_set == expected,
+            payload=lambda: {"missing": len(expected - interior_coord_set),
+                             "extra": len(interior_coord_set - expected)})))
         if cfg.c == Fraction(1, 2):
             named = [(1 - cfg.c ** r1, 1 - cfg.c ** r2)
                      for (r1, r2) in sorted(_NAMED_INTERIOR)
                      if max(r1, r2) <= max_degree]
-            missing = [coords for coords in named if coords not in interior_coord_set]
             checks.append(_check("worked-display-interior-points", len(named),
-                                 len(missing),
-                                 {"coords": [frac_str(x) for x in missing[0]]}
-                                 if missing else None))
+                                 _missing(named, interior_coord_set)))
             named_boundary = [(Fraction(1), Fraction(0)),
                               (Fraction(1), Fraction(1, 2)),
                               (Fraction(1), Fraction(3, 4)),
@@ -509,48 +494,37 @@ def spectrum_suite(n: int, max_degree: int, c: Fraction) -> dict:
                               (Fraction(1), Fraction(1))]
             named_boundary = [bc for bc in named_boundary
                               if bc != (Fraction(1), Fraction(3, 4)) or max_degree >= 2]
-            bmissing = [bc for bc in named_boundary if bc not in boundary_coord_set]
             checks.append(_check("worked-display-boundary-points", len(named_boundary),
-                                 len(bmissing),
-                                 {"coords": [frac_str(x) for x in bmissing[0]]}
-                                 if bmissing else None))
+                                 _missing(named_boundary, boundary_coord_set)))
 
-    structural_failures: List[dict] = []
+    shape = Tally()
     for point, coords in zip(boundary, boundary_coords):
         k = point.provenance[0].pivot
         ok = coords[k - 1] == 1
         ok = ok and all(coords[j] in (Fraction(0), Fraction(1)) for j in range(k - 1))
         ok = ok and all(coords[j] != 1 for j in range(k, n))
         if not ok:
-            structural_failures.append({"pattern": k})
-    checks.append(_check("boundary-point-shape", len(boundary),
-                         len(structural_failures),
-                         structural_failures[0] if structural_failures else None))
+            shape.fail(lambda: {"pattern": k})
+    checks.append(_check("boundary-point-shape", len(boundary), shape))
 
-    vertex_failures: List[dict] = []
+    vertices = Tally()
     for bits in cartesian((0, 1), repeat=n):
         vertex = tuple(Fraction(b) for b in bits)
         if any(bits):
             if vertex not in boundary_coord_set:
-                vertex_failures.append({"vertex": list(bits), "expected": "boundary"})
-        else:
-            if vertex not in interior_coord_set or vertex in boundary_coord_set:
-                vertex_failures.append({"vertex": list(bits), "expected": "interior"})
-    checks.append(_check("vertices-classified", 2 ** n, len(vertex_failures),
-                         vertex_failures[0] if vertex_failures else None,
+                vertices.fail(lambda: {"vertex": list(bits), "expected": "boundary"})
+        elif vertex not in interior_coord_set or vertex in boundary_coord_set:
+            vertices.fail(lambda: {"vertex": list(bits), "expected": "interior"})
+    checks.append(_check("vertices-classified", 2 ** n, vertices,
                          note="the all-zero vertex is enumerated as interior only; "
                               "it is isolated at every finite depth even though "
                               "vertices are described as accumulation points"))
 
-    mult = verify_multiplicativity(cfg, min(4, max_degree))
-    checks.append(_check("functionals-multiplicative", mult["cases"],
-                         mult["failures"], mult["first_failure"],
-                         identityZeroProductCaveats=mult["identity_zero_product_caveats"],
-                         firstCaveat=mult["first_caveat"]))
-
-    conv = boundary_convergence_report(cfg)
-    checks.append(_check("boundary-limits-monotone", conv["cases"],
-                         conv["failures"], conv["first_failure"]))
+    cases, multiplicative, caveats = verify_multiplicativity(cfg, min(4, max_degree))
+    checks.append(_check("functionals-multiplicative", cases, multiplicative,
+                         identityZeroProductCaveats=caveats.failures,
+                         firstCaveat=caveats.first))
+    checks.append(_check("boundary-limits-monotone", *boundary_convergence_report(cfg)))
     return {"suite": "spectrum", "n": n, "maxDegree": max_degree,
             "c": frac_str(cfg.c), "checks": checks}
 
@@ -569,58 +543,44 @@ def gauge_suite(n: int, max_degree: int, roots: Optional[Sequence[int]] = None) 
         rep = gauge_mod.build_bundle(params, K)
         degrees = basis_degrees(params)
 
-        cases = 0
-        failures: List[dict] = []
+        covariance = Tally()
         for i in range(n + 1):
             for w in range(K):
-                cases += 1
                 verdict = gauge_mod.check_covariance(rep, i, w, gauge_mod.BLOCK_SHIFT_UNITARY)
                 if not verdict.ok:
-                    failures.append({"i": i, "w": w,
-                                     "entries": verdict.failures[:4]})
-        checks.append(_check("shift-unitary-covariance-K%d" % K, cases,
-                             len(failures), failures[0] if failures else None))
+                    covariance.fail(lambda: {"i": i, "w": w, "entries": verdict.failures[:4]})
+        checks.append(_check("shift-unitary-covariance-K%d" % K, (n + 1) * K, covariance))
 
-        cases = 0
-        vac_failures: List[dict] = []
+        vacuum = Tally()
         for w in range(K):
-            cases += 1
             verdict = gauge_mod.check_covariance(rep, 0, w, gauge_mod.PAPER_UNITARY)
             if not verdict.ok:
-                vac_failures.append({"w": w, "entries": verdict.failures[:4]})
-        checks.append(_check("phase-only-unitary-covariance-vacuum-K%d" % K, cases,
-                             len(vac_failures),
-                             vac_failures[0] if vac_failures else None))
+                vacuum.fail(lambda: {"w": w, "entries": verdict.failures[:4]})
+        checks.append(_check("phase-only-unitary-covariance-vacuum-K%d" % K, K, vacuum))
 
-        deviations = 0
-        stray = []
+        deviations, stray = 0, Tally()
         for i in range(1, n + 1):
             for w in range(K):
                 verdict = gauge_mod.check_covariance(rep, i, w, gauge_mod.PAPER_UNITARY)
                 for entry in verdict.failures:
                     deviations += 1
                     if not (entry["basisRow"] == 0 and degrees[entry["basisCol"]] == 1):
-                        stray.append(entry)
+                        stray.fail(lambda: entry)
         checks.append(_check("phase-only-unitary-deviations-confined-K%d" % K,
-                             max(deviations, 1), len(stray),
-                             stray[0] if stray else None,
-                             deviations=deviations))
+                             max(deviations, 1), stray, deviations=deviations))
 
-        law = gauge_mod.check_group_law(rep, gauge_mod.BLOCK_SHIFT_UNITARY)
-        checks.append(_check("shift-unitary-group-law-K%d" % K, law["cases"],
-                             law["failures"], law["first_failure"]))
+        checks.append(_check("shift-unitary-group-law-K%d" % K,
+                             *gauge_mod.check_group_law(rep, gauge_mod.BLOCK_SHIFT_UNITARY)))
 
         spectrum = gauge_mod.vacuum_operator_spectrum(rep)
         spec_ok = (spectrum["root_exponents"] == list(range(K))
                    and spectrum["zero_multiplicity"] == K * (params.basis_size - 1))
         checks.append(_check("vacuum-generator-spectrum-K%d" % K, 1,
-                             0 if spec_ok else 1,
-                             None if spec_ok else spectrum))
+                             _verdict(spec_ok, payload=lambda: spectrum)))
 
         quotient = gauge_mod.check_quotient_relation(rep)
         checks.append(_check("quotient-relation-K%d" % K, 1,
-                             0 if quotient["ok"] else 1,
-                             None if quotient["ok"] else quotient))
+                             _verdict(quotient["ok"], payload=lambda: quotient)))
     return {"suite": "gauge", "n": n, "maxDegree": max_degree,
             "roots": list(roots), "checks": checks}
 

@@ -433,14 +433,6 @@ def rewrite(word: Iterable[GeneratorSymbol], n: int) -> NormalForm:
     return NormalForm(terms)
 
 
-def rewrite_whole_word(word: Iterable[GeneratorSymbol], n: int) -> NormalForm:
-    """One-sweep reduction of the full word (cross-check for :func:`rewrite`)."""
-    word = tuple(word)
-    _validate_indices(word, n)
-    reduced = _queue_rewrite(tuple(_code(sym) for sym in word), n)
-    return NormalForm({_monomial_from_codes(w, n): c for w, c in reduced.items()})
-
-
 # ---------------------------------------------------------------------------
 # projection order and products
 # ---------------------------------------------------------------------------

@@ -146,8 +146,8 @@ def test_criterion_6_spectrum_dataset():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_criterion_7_multiplicativity(n):
-    report = verify_multiplicativity(SpectrumConfig(n, 4, HALF), 4)
-    ok = report["failures"] == 0 and report["identity_zero_product_caveats"] > 0
+    _, failures, caveats = verify_multiplicativity(SpectrumConfig(n, 4, HALF), 4)
+    ok = failures.failures == 0 and caveats.failures > 0
     _verdict(7, "multiplicativity n=%d" % n, ok)
 
 

@@ -80,10 +80,11 @@ def test_spectrum_csv_contains_worked_point(tmp_path):
 def test_spectrum_svg_rejects_dimension_before_enumerating(monkeypatch, capsys):
     import wmfock.cli
 
-    def must_not_run(cfg):
-        raise AssertionError("enumerated the spectrum for an svg it cannot draw")
+    def must_not_be_read(cfg):
+        raise AssertionError("read a point of the spectrum for an svg it cannot draw")
+        yield  # a generator, as the stream is: calling it reads no point
 
-    monkeypatch.setattr(wmfock.cli, "enumerate_spectrum", must_not_run)
+    monkeypatch.setattr(wmfock.cli, "enumerate_spectrum", must_not_be_read)
     argv = ["spectrum", "--format", "svg", "--n", "4", "--max-degree", "40"]
     assert wmfock.cli.main(argv) == 2
     assert "svg emission supports n = 2 or 3 only; use csv" in capsys.readouterr().err

@@ -6,9 +6,14 @@ from math import comb
 
 import pytest
 
-from wmfock.fock import (TruncationParams, basis_index, check_guarded_identity,
+from wmfock.fock import (Tally, TruncationParams, basis_index, check_guarded_identity,
                          column_map, enumerate_basis)
 from wmfock.sparse import SparseOp
+
+
+def to_op(matrix):
+    """The 0/1 matrix of an order-1 map."""
+    return SparseOp.from_terms(matrix.dim, [(1, matrix)])
 
 
 def weak_compositions(n, cap):
@@ -101,13 +106,13 @@ def test_adjoint_is_transpose():
     for i in range(1, 4):
         creator, annihilator = column_map(params, i, True), column_map(params, i, False)
         assert creator == annihilator.adjoint()
-        assert creator.to_op() == annihilator.to_op().transpose()
+        assert to_op(creator) == to_op(annihilator).transpose()
 
 
 def test_generators_are_partial_permutations():
     params = TruncationParams(3, 4)
-    ops = [column_map(params, i, False).to_op() for i in range(4)]
-    ops.extend(column_map(params, i, True).to_op() for i in range(1, 4))
+    ops = [to_op(column_map(params, i, False)) for i in range(4)]
+    ops.extend(to_op(column_map(params, i, True)) for i in range(1, 4))
     for op in ops:
         assert all(v == Fraction(1) for v in op.entries.values())
         rows = [r for r, _ in op.entries]
@@ -120,7 +125,7 @@ def test_vacuum_projection_shape():
     params = TruncationParams(2, 4)
     vac = column_map(params, 0, False)
     assert vac.image == (0,) + (-1,) * (params.basis_size - 1)
-    assert vac.to_op().entries == {(0, 0): Fraction(1)}
+    assert to_op(vac).entries == {(0, 0): Fraction(1)}
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -131,15 +136,15 @@ def test_guarded_identities_pass(n):
     a = [column_map(params, i, False) for i in range(n + 1)]
     c = [None] + [column_map(params, i, True) for i in range(1, n + 1)]
     # the top creator is an isometry for the annihilator side: A_n A_n^T = I
-    res = check_guarded_identity(params, (a[n] @ c[n]).to_op(), ident, 1)
+    res = check_guarded_identity(params, to_op(a[n] @ c[n]), ident, 1)
     assert res.ok and res.columns_checked == params.degree_prefix(5)
     # support decomposition for i = 1
-    lhs = (a[1] @ c[1]).to_op()
+    lhs = to_op(a[1] @ c[1])
     rhs = SparseOp.from_terms(size, [(1, a[0]), (1, c[1] @ a[1])])
     res = check_guarded_identity(params, lhs, rhs, 1)
     assert res.ok
     # mixed creator pair vanishes on the whole space
-    lhs = (a[1] @ c[2]).to_op()
+    lhs = to_op(a[1] @ c[2])
     res = check_guarded_identity(params, lhs, SparseOp(size), 1)
     assert res.ok
 
@@ -147,7 +152,7 @@ def test_guarded_identities_pass(n):
 def test_truncation_artifact_is_flagged_not_failed():
     params = TruncationParams(2, 3)
     ident = SparseOp.identity(params.basis_size)
-    lhs = (column_map(params, 2, False) @ column_map(params, 2, True)).to_op()
+    lhs = to_op(column_map(params, 2, False) @ column_map(params, 2, True))
     res = check_guarded_identity(params, lhs, ident, 1)
     assert res.ok
     assert res.truncation_artifact  # the cut top layer differs, by construction
@@ -174,3 +179,12 @@ def test_guarded_identity_validation():
         check_guarded_identity(params, SparseOp(10), SparseOp(10), 7)
     with pytest.raises(ValueError, match="guard must lie"):
         check_guarded_identity(params, SparseOp(10), SparseOp(10), -1)
+
+
+def test_tally_counts_every_failure_and_builds_only_the_first_payload():
+    tally = Tally()
+    assert (tally.failures, tally.first) == (0, None)
+    built = []
+    for k in range(3):
+        tally.fail(lambda: built.append(k) or {"k": k})
+    assert (tally.failures, tally.first, built) == (3, {"k": 0}, [0])

@@ -153,10 +153,17 @@ def test_functional_values():
         functional_apply(FunctionalKey.point((1, 1)), (1, 1, 1))
 
 
+def _multiplicativity_report(cfg, degree_cap):
+    """``verify_multiplicativity`` read into the fields of the reference."""
+    cases, failures, caveats = verify_multiplicativity(cfg, degree_cap)
+    return {"cases": cases, "failures": failures.failures, "first_failure": failures.first,
+            "identity_zero_product_caveats": caveats.failures, "first_caveat": caveats.first}
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_multiplicativity_no_failures(n):
     cfg = SpectrumConfig(n, 4, HALF)
-    report = verify_multiplicativity(cfg, 4)
+    report = _multiplicativity_report(cfg, 4)
     assert report["failures"] == 0
     # the constant-1 functional cannot see zero products; reported separately
     assert report["identity_zero_product_caveats"] > 0
@@ -215,7 +222,7 @@ def _multiplicativity_oracle(cfg, degree_cap):
 @pytest.mark.parametrize("n,cap", [(2, 6), (3, 5)])
 def test_multiplicativity_matches_oracle_loop(n, cap):
     cfg = SpectrumConfig(n, cap, HALF)
-    assert verify_multiplicativity(cfg, cap) == _multiplicativity_oracle(cfg, cap)
+    assert _multiplicativity_report(cfg, cap) == _multiplicativity_oracle(cfg, cap)
 
 
 def test_multiplicativity_keeps_one_failure_payload(monkeypatch):
@@ -227,7 +234,7 @@ def test_multiplicativity_keeps_one_failure_payload(monkeypatch):
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        report = verify_multiplicativity(cfg, 4)
+        report = _multiplicativity_report(cfg, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -255,9 +262,15 @@ def test_point_functional_agrees_with_product_rule(n):
             assert functional_apply(key, nu) == (1 if survives else 0)
 
 
+def _boundary_report(cfg):
+    """``boundary_convergence_report`` read into the fields of the reference."""
+    cases, tally = boundary_convergence_report(cfg)
+    return {"cases": cases, "failures": tally.failures, "first_failure": tally.first}
+
+
 def test_boundary_convergence_exact():
     cfg = SpectrumConfig(2, 3, Fraction(1, 3))
-    report = boundary_convergence_report(cfg)
+    report = _boundary_report(cfg)
     assert report["failures"] == 0
     assert report["cases"] == P_LIMIT * len(boundary_patterns(cfg))
 
@@ -313,7 +326,7 @@ def _boundary_reference(cfg, p_limit):
 @given(n=st.integers(2, 4), degree=st.integers(1, 8), q=st.integers(2, 60), data=st.data())
 def test_boundary_convergence_matches_fraction_reference(n, degree, q, data):
     cfg = SpectrumConfig(n, degree, Fraction(data.draw(st.integers(1, q - 1)), q))
-    assert boundary_convergence_report(cfg) == _boundary_reference(cfg, P_LIMIT)
+    assert _boundary_report(cfg) == _boundary_reference(cfg, P_LIMIT)
 
 
 def _boundary_faults(degree):
@@ -338,7 +351,7 @@ def _boundary_faults(degree):
 def test_boundary_convergence_matches_reference_under_faults(n, degree, fault, monkeypatch):
     cfg = SpectrumConfig(n, degree, Fraction(3, 7))
     monkeypatch.setattr(*_boundary_faults(degree)[fault])
-    report = boundary_convergence_report(cfg)
+    report = _boundary_report(cfg)
     assert report["failures"] > 0
     assert report == _boundary_reference(cfg, P_LIMIT)
 

@@ -1,6 +1,7 @@
 """Suite-level behavior: dispatch, degenerate configurations, reports."""
 
 import concurrent.futures
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 from operator import matmul
@@ -15,7 +16,7 @@ from wmfock.suites import (SUITE_NAMES, ck_suite, gauge_suite, masa_suite,
                            relations_suite, run_all, run_suite,
                            sample_words, soundness_check, spectrum_suite,
                            total_failures)
-from wmfock.words import NormalMonomial, _compose_codes, evaluate_word, rewrite
+from wmfock.words import NormalForm, NormalMonomial, _compose_codes, evaluate_word, rewrite
 
 HALF = Fraction(1, 2)
 
@@ -184,6 +185,24 @@ def test_expectation_of_monomials_catches_matrix_side_faults(monkeypatch, fault)
     mono = next(c for c in report["checks"] if c["name"] == "expectation-of-monomials")
     assert mono["failures"] > 0
     assert set(mono["firstFailure"]) == {"nu", "mu", "vacuum"}
+
+
+def test_expectation_of_monomials_keeps_one_failure_payload(monkeypatch):
+    # every monomial's expectation read as the identity: all cases but the
+    # identity monomial fail, and only the count and the first payload are
+    # kept (1.2 MB here when the suite kept a payload per failure)
+    monkeypatch.setattr(suites.masa, "expectation_of_monomial",
+                        lambda monomial: NormalForm.of(NormalMonomial.identity(monomial.n)))
+    tracemalloc.start()
+    try:
+        report = masa_suite(3, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    mono = next(c for c in report["checks"] if c["name"] == "expectation-of-monomials")
+    assert (mono["cases"], mono["failures"]) == (2450, 2449)
+    assert mono["firstFailure"] == {"nu": [0, 0, 0], "mu": [0, 0, 0], "vacuum": True}
+    assert peak < 600_000
 
 
 def test_positivity_reports_a_non_injective_generator(monkeypatch):

@@ -12,7 +12,21 @@ from wmfock.words import (GeneratorIndexError, GeneratorSymbol, NormalForm,
                           NormalMonomial, ProductResult, WordSyntaxError,
                           creation_guard, evaluate, evaluate_word, parse_word,
                           precedes, precedes_pivot, projection_product, rewrite,
-                          rewrite_whole_word, word_text, _code, _compose_codes)
+                          word_text, _code, _compose_codes, _monomial_from_codes,
+                          _queue_rewrite, _validate_indices)
+
+
+def to_op(matrix):
+    """The 0/1 matrix of an order-1 map."""
+    return SparseOp.from_terms(matrix.dim, [(1, matrix)])
+
+
+def rewrite_whole_word(word, n):
+    """One-sweep reduction of the full word (cross-check for ``rewrite``)."""
+    word = tuple(word)
+    _validate_indices(word, n)
+    reduced = _queue_rewrite(tuple(_code(sym) for sym in word), n)
+    return NormalForm({_monomial_from_codes(w, n): c for w, c in reduced.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +154,7 @@ def test_soundness_against_matrix_oracle(symbols):
     params = TruncationParams(2, 8)
     guard = creation_guard(word)
     cutoff = params.degree_prefix(params.max_degree - guard)
-    direct = evaluate_word(word, params).to_op().restrict_columns(cutoff)
+    direct = to_op(evaluate_word(word, params)).restrict_columns(cutoff)
     reduced = evaluate(rewrite(word, 2), params, cutoff)
     assert direct == reduced
     assert reduced == evaluate(rewrite(word, 2), params).restrict_columns(cutoff)
@@ -331,7 +345,7 @@ def test_evaluate_rewritten_word_matches_direct_product():
     word = parse_word("a1 a1*", 2)
     cutoff = params.degree_prefix(5)
     assert evaluate(rewrite(word, 2), params, cutoff) == \
-        evaluate_word(word, params).to_op().restrict_columns(cutoff)
+        to_op(evaluate_word(word, params)).restrict_columns(cutoff)
 
 
 def test_point_projection_monomial_is_matrix_unit():
@@ -368,7 +382,7 @@ def compose_codes_oracle(codes, params):
 
 
 def _generator_matrix(params, sym):
-    return column_map(params, sym.index, sym.starred).to_op()
+    return to_op(column_map(params, sym.index, sym.starred))
 
 
 def test_evaluate_word_matches_generator_products_exhaustive():
@@ -380,7 +394,7 @@ def test_evaluate_word_matches_generator_products_exhaustive():
             product = _generator_matrix(params, word[0])
             for sym in word[1:]:
                 product = product @ _generator_matrix(params, sym)
-            assert evaluate_word(word, params).to_op() == product, word_text(word)
+            assert to_op(evaluate_word(word, params)) == product, word_text(word)
 
 
 @settings(max_examples=200, deadline=None)
