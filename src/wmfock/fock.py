@@ -13,8 +13,19 @@ asserted only on a guard band: basis vectors whose degree leaves room for
 the deepest intermediate creation excursion of the words being compared.
 
 Basis order is graded (by total degree), then lexicographic on the reversed
-count vector (mu_n, ..., mu_1).  Position 0 is the vacuum and the states of
-degree ``<= d`` form a prefix of the enumeration.
+count vector (mu_n, ..., mu_1), as :func:`iter_ranked_indices` walks it.
+Position 0 is the vacuum and the states of degree ``<= d`` form a prefix.
+
+Lemma: combinations of words, each with at most A annihilators ``a_j``
+(j >= 1), agree on the untruncated space iff they agree on every state of
+degree ``<= A + 1``.  Proof: a state is a stack of letters, largest on top;
+a generator reads only the top, and ``a0`` only whether the stack is empty.
+A word strips at most A letters, so on ``t (x) b`` with ``t`` of degree
+A + 1 it never reaches ``b`` and gives ``w(t) (x) b``; as ``v -> v (x) b``
+is linear and injective, a difference of combinations vanishes on
+``t (x) b`` iff it vanishes on ``t``.  The bound is tight: ``a0 a3`` and
+``a3`` (A = 1) agree up to degree 1 and differ on ``e3 (x) e3``.  So a
+guarded band that reaches degree A + 1 decides the untruncated identity.
 """
 
 from __future__ import annotations
@@ -28,6 +39,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 from .sparse import PhaseMatrix, SparseOp, frac_str
 
 MultiIndex = Tuple[int, ...]
+Ranked = Tuple[MultiIndex, Tuple[int, ...]]  # a count vector and its exponents
 
 
 @dataclass(frozen=True)
@@ -75,22 +87,38 @@ def bottom_letter(mu: MultiIndex) -> int:
     return 0
 
 
-def _compositions(total: int, parts: int) -> Iterator[MultiIndex]:
-    # Yields count vectors of fixed total degree, ascending in the
-    # lexicographic order of the reversed tuple (mu_n, ..., mu_1).
-    if parts == 1:
-        yield (total,)
-        return
-    for top in range(total + 1):
-        for rest in _compositions(total - top, parts - 1):
-            yield rest + (top,)
+def _ranked_compositions(total: int, parts: int, tail: int, upper: MultiIndex,
+                         upper_ranks: Tuple[int, ...]) -> Iterator[Ranked]:
+    # Letters 1..parts of degree ``total`` below ``upper`` (degree ``tail``),
+    # ascending in the lexicographic order of the reversed tuple.
+    if parts == 2:  # the flat loop that makes almost every vector
+        whole = tail + total
+        for top in range(total + 1):
+            yield ((total - top, top) + upper,
+                   (whole if top < total else 0, tail + top if top else 0) + upper_ranks)
+    elif parts == 1:  # n = 1 only, as for a boundary tail above pivot n - 1
+        yield (total,) + upper, (tail + total if total else 0,) + upper_ranks
+    else:
+        for top in range(total + 1):
+            yield from _ranked_compositions(total - top, parts - 1, tail + top, (top,) + upper,
+                                            (tail + top if top else 0,) + upper_ranks)
+
+
+def iter_ranked_indices(n: int, cap: int) -> Iterator[Ranked]:
+    """All count vectors ``mu`` over ``n >= 1`` letters of degree ``<= cap``,
+    graded, each with its exponents: the one definition of the basis order.
+
+    The exponent ``r_k(mu)`` of letter k is the tail degree ``mu_k + ... +
+    mu_n``, or 0 where ``mu_k = 0``.  The walk carries the upper letters'
+    tail degree down from letter n and makes the last two in one flat loop.
+    """
+    for d in range(cap + 1):
+        yield from _ranked_compositions(d, n, 0, (), ())
 
 
 def iter_indices(n: int, cap: int) -> Iterator[MultiIndex]:
-    """All count vectors over ``n`` letters of degree ``<= cap``, graded,
-    made one at a time: the one definition of the basis order."""
-    for d in range(cap + 1):
-        yield from _compositions(d, n)
+    """The count vectors of :func:`iter_ranked_indices`, one at a time."""
+    return (mu for mu, _ in iter_ranked_indices(n, cap))
 
 
 def indices_up_to(n: int, cap: int) -> List[MultiIndex]:

@@ -19,10 +19,10 @@ would.  :func:`embed` computes the coordinates of an index from ``c``
 alone, as an oracle that does not read the table.
 
 The dataset is a stream.  :func:`enumerate_spectrum` yields the interior
-points one at a time as :func:`wmfock.fock.iter_indices` walks the indices
-degree by degree, then the boundary points, and the emitters read each
-point once and keep only the strings they join, so no list of points is
-held while the dataset is written.
+points as :func:`wmfock.fock.iter_ranked_indices` walks the indices with
+their exponents, which are the ranks, then the boundary points, whose
+tails' exponents come from the same walk.  The emitters read each point
+once and keep only the strings they join, so no list of points is held.
 
 Emission works on ranks, and each emitter takes the configuration and
 prepares the texts of its table once per call.  The CSV emitter renders
@@ -48,7 +48,7 @@ from itertools import product
 from math import lcm
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .fock import MultiIndex, Tally, indices_up_to, iter_indices
+from .fock import MultiIndex, Tally, indices_up_to, iter_ranked_indices
 from .sparse import frac_str
 from .words import ProductResult, precedes, projection_product
 
@@ -120,18 +120,20 @@ def embed(mu: MultiIndex, c: Fraction) -> Tuple[Fraction, ...]:
     return tuple(1 - c ** r_value(mu, k) for k in range(1, len(mu) + 1))
 
 
-def _tails(parts: int, cap: int) -> Iterable[Tuple[int, ...]]:
-    return iter_indices(parts, cap) if parts else ((),)
+def _ranked_patterns(cfg: SpectrumConfig) -> Iterator[Tuple[BoundaryPattern, Tuple[int, ...]]]:
+    """Each boundary pattern and its point's ranks, the tail's from the ranked walk."""
+    n, top = cfg.n, cfg.max_degree + 1
+    for pivot in range(1, n + 1):
+        tails = list(iter_ranked_indices(n - pivot, cfg.max_degree)) if pivot < n else [((), ())]
+        for bits_value in range(1 << (pivot - 1)):
+            bits = tuple((bits_value >> j) & 1 for j in range(pivot - 1))
+            head = tuple(b * top for b in bits) + (top,)
+            for tail, tail_ranks in tails:
+                yield BoundaryPattern(pivot, bits, tail), head + tail_ranks
 
 
 def boundary_patterns(cfg: SpectrumConfig) -> List[BoundaryPattern]:
-    out: List[BoundaryPattern] = []
-    for pivot in range(1, cfg.n + 1):
-        for bits_value in range(1 << (pivot - 1)):
-            bits = tuple((bits_value >> j) & 1 for j in range(pivot - 1))
-            for tail in _tails(cfg.n - pivot, cfg.max_degree):
-                out.append(BoundaryPattern(pivot, bits, tail))
-    return out
+    return [pattern for pattern, _ in _ranked_patterns(cfg)]
 
 
 @lru_cache(maxsize=8)
@@ -163,26 +165,22 @@ def boundary_ranks(pattern: BoundaryPattern, cfg: SpectrumConfig) -> Tuple[int, 
 
 def interior_points(cfg: SpectrumConfig) -> Iterator[SpectrumPoint]:
     """The images of the indices of degree ``<= max_degree``, made one at a
-    time in graded order as :func:`wmfock.fock.iter_indices` walks them.
+    time in graded order by :func:`wmfock.fock.iter_ranked_indices`, whose
+    exponents are their ranks.
 
     Each point's coordinates equal ``embed`` on its index.
     """
-    for mu in iter_indices(cfg.n, cfg.max_degree):
-        ranks = []
-        tail = 0  # r_k = mu_k + ... + mu_n when mu_k > 0, read right to left
-        for m in reversed(mu):
-            tail += m
-            ranks.append(tail if m else 0)
-        ranks.reverse()
-        yield SpectrumPoint(tuple(ranks), INTERIOR, (mu,))
+    new = tuple.__new__  # not the NamedTuple's generated __new__, a Python call per point
+    for mu, ranks in iter_ranked_indices(cfg.n, cfg.max_degree):
+        yield new(SpectrumPoint, (ranks, INTERIOR, (mu,)))
 
 
 def boundary_points(cfg: SpectrumConfig) -> List[SpectrumPoint]:
     """One point per distinct limit, sorted by coordinates, with the patterns
     that reach it in enumeration order."""
     by_ranks: Dict[Tuple[int, ...], List[BoundaryPattern]] = {}
-    for pattern in boundary_patterns(cfg):
-        by_ranks.setdefault(boundary_ranks(pattern, cfg), []).append(pattern)
+    for pattern, ranks in _ranked_patterns(cfg):
+        by_ranks.setdefault(ranks, []).append(pattern)
     return [SpectrumPoint(ranks, BOUNDARY, tuple(patterns))
             for ranks, patterns in sorted(by_ranks.items())]
 
@@ -356,11 +354,7 @@ def _index_format(length: int) -> str:
 
 
 def point_provenance(point: SpectrumPoint) -> str:
-    provenance = point.provenance
-    if point.kind == INTERIOR and len(provenance) == 1:
-        mu = provenance[0]
-        return _index_format(len(mu)) % mu
-    return "|".join(map(render_provenance, provenance))
+    return "|".join(map(render_provenance, point.provenance))
 
 
 def emit_csv(points: Iterable[SpectrumPoint], cfg: SpectrumConfig) -> str:
@@ -379,11 +373,13 @@ def emit_csv(points: Iterable[SpectrumPoint], cfg: SpectrumConfig) -> str:
     values = coordinate_values(cfg)
     exact = ["," + frac_str(x) for x in values]
     dec = ["," + decimal15(x) for x in values]
+    index_format = _index_format(cfg.n)
     fragments = [",".join(header)]
     extend = fragments.extend
     for point in points:
-        ranks = point.ranks
-        extend(("\n", point.kind, ",", point_provenance(point)))
+        ranks, kind, provenance = point
+        extend(("\n", kind, ",", index_format % provenance[0]
+                if kind == INTERIOR and len(provenance) == 1 else point_provenance(point)))
         extend(map(exact.__getitem__, ranks))
         extend(map(dec.__getitem__, ranks))
     fragments.append("\n")
@@ -474,16 +470,17 @@ def emit_svg(points: Iterable[SpectrumPoint], cfg: SpectrumConfig) -> str:
                              % (x_frame[start[:n - 1]][0], y_frame[start[1:]][0],
                                 x_frame[end[:n - 1]][0], y_frame[end[1:]][0]))
     x_texts, y_texts = _pixel_texts(coordinate_values(cfg), n, scale)
+    index_format = _index_format(n)
     fragments = ["\n".join(lines)]
     extend = fragments.extend
     for point in points:
-        ranks = point.ranks
+        ranks, kind, provenance = point
         x_text, y_text = x_texts[ranks[:n - 1]], y_texts[ranks[1:]]
-        kind = point.kind
         if kind == INTERIOR:
             extend(('\n<circle cx="', x_text[0], '" cy="', y_text[0],
-                    '" r="4" fill="#c0392b"><title>', kind, " ", point_provenance(point),
-                    "</title></circle>"))
+                    '" r="4" fill="#c0392b"><title>', kind, " ",
+                    index_format % provenance[0] if len(provenance) == 1
+                    else point_provenance(point), "</title></circle>"))
         else:
             extend(('\n<rect x="', x_text[1], '" y="', y_text[1],
                     '" width="8" height="8" fill="none" stroke="#2c3e50" '

@@ -5,10 +5,14 @@ from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from wmfock.fock import (Tally, TruncationParams, basis_index, check_guarded_identity,
-                         column_map, enumerate_basis)
+                         column_map, enumerate_basis, indices_up_to, iter_indices,
+                         iter_ranked_indices)
 from wmfock.sparse import SparseOp
+from wmfock.spectrum import r_value
+from wmfock.words import GeneratorSymbol, creation_guard, evaluate_word, parse_word
 
 
 def to_op(matrix):
@@ -19,6 +23,35 @@ def to_op(matrix):
 def weak_compositions(n, cap):
     """Independent stars-and-bars oracle: brute-force enumeration."""
     return [mu for mu in product(range(cap + 1), repeat=n) if sum(mu) <= cap]
+
+
+def _compositions(total, parts):
+    """Reference walk, independent of the ranked one: count vectors of fixed
+    degree, ascending in the lexicographic order of the reversed tuple
+    (mu_n, ..., mu_1)."""
+    if parts == 1:
+        yield (total,)
+        return
+    for top in range(total + 1):
+        for rest in _compositions(total - top, parts - 1):
+            yield rest + (top,)
+
+
+def reference_indices(n, cap):
+    return [mu for d in range(cap + 1) for mu in _compositions(d, n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_ranked_walk_follows_the_reference_order(n):
+    # n = 1 is the path of a boundary tail above the next-to-last pivot
+    for cap in range(9):
+        ranked = list(iter_ranked_indices(n, cap))
+        assert [mu for mu, _ in ranked] == reference_indices(n, cap)
+        for mu, ranks in ranked:
+            assert ranks == tuple(r_value(mu, k) for k in range(1, n + 1))
+        assert list(iter_indices(n, cap)) == indices_up_to(n, cap) == reference_indices(n, cap)
+        if n >= 2 and cap >= 1:
+            assert list(enumerate_basis(TruncationParams(n, cap))) == reference_indices(n, cap)
 
 
 def test_basis_count_small():
@@ -188,3 +221,48 @@ def test_tally_counts_every_failure_and_builds_only_the_first_payload():
     for k in range(3):
         tally.fail(lambda: built.append(k) or {"k": k})
     assert (tally.failures, tally.first, built) == (3, {"k": 0}, [0])
+
+
+# the generators over n = 3 letters, and words of up to five of them
+_SYMBOLS = [GeneratorSymbol(0)] + [GeneratorSymbol(i, s) for i in (1, 2, 3) for s in (False, True)]
+_WORDS = st.lists(st.sampled_from(_SYMBOLS), min_size=1, max_size=5).map(tuple)
+_EXACT_DEGREE = 9
+
+
+def _agree(words, max_degree, band):
+    """Whether the words' matrices at ``max_degree`` agree on every state of
+    degree ``<= band``."""
+    params = TruncationParams(3, max_degree)
+    cutoff = params.degree_prefix(band)
+    left, right = (evaluate_word(word, params).image[:cutoff] for word in words)
+    return left == right
+
+
+def _lemma_case(words):
+    """The lemma's premise and its conclusion for two words: they agree on
+    degree ``<= A + 1`` at a truncation deep enough for both guards, and on
+    the exact band of max_degree 9."""
+    annihilators = max(sum(1 for s in word if s.index and not s.starred) for word in words)
+    guard = max(creation_guard(word) for word in words)
+    premise = _agree(words, annihilators + 1 + guard, annihilators + 1)
+    return premise, _agree(words, _EXACT_DEGREE, _EXACT_DEGREE - guard)
+
+
+@settings(max_examples=200, deadline=None)
+@given(left=_WORDS, right=_WORDS)
+def test_agreement_up_to_degree_a_plus_one_is_untruncated(left, right):
+    premise, conclusion = _lemma_case((left, right))
+    assume(premise)
+    assert conclusion
+
+
+def test_lemma_bound_a_plus_one_is_tight():
+    # a0 a3 and a3 (A = 1) agree up to degree 1 and differ on e3 (x) e3
+    words = (parse_word("a0 a3", 3), parse_word("a3", 3))
+    assert _agree(words, 3, 1) and not _agree(words, 3, 2)
+    params = TruncationParams(3, 3)
+    index = basis_index(params)
+    e33 = index[(0, 0, 2)]
+    assert [evaluate_word(word, params).image[e33] for word in words] == [-1, index[(0, 0, 1)]]
+    # so the premise must read degree A + 1: at degree A it would hold
+    assert _lemma_case(words) == (False, False)

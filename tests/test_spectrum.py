@@ -23,6 +23,7 @@ from wmfock.fock import TruncationParams, enumerate_basis, indices_up_to
 from wmfock.sparse import frac_str
 from wmfock.words import ProductResult
 
+from test_fock import reference_indices
 from test_words import precedes_pivot_oracle, projection_product_oracle
 
 HALF = Fraction(1, 2)
@@ -113,6 +114,38 @@ def test_boundary_enumeration_n2():
     assert (Fraction(1), Fraction(1)) in coords
     # pivot-1 tails of degree <= 3, plus the two pivot-2 bit patterns
     assert len(coords) == 6
+
+
+def _reference_patterns(cfg):
+    """Every boundary pattern by pivot, bits, then tail, each tail from the
+    reference walk over the letters above the pivot."""
+    return [BoundaryPattern(pivot, tuple((bits_value >> j) & 1 for j in range(pivot - 1)), tail)
+            for pivot in range(1, cfg.n + 1)
+            for bits_value in range(1 << (pivot - 1))
+            for tail in (reference_indices(cfg.n - pivot, cfg.max_degree) if pivot < cfg.n
+                         else [()])]
+
+
+def _reference_boundary_points(cfg):
+    """The patterns grouped by ``boundary_ranks`` and sorted by ranks."""
+    by_ranks = {}
+    for pattern in _reference_patterns(cfg):
+        by_ranks.setdefault(spectrum.boundary_ranks(pattern, cfg), []).append(pattern)
+    return [SpectrumPoint(ranks, BOUNDARY, tuple(patterns))
+            for ranks, patterns in sorted(by_ranks.items())]
+
+
+@pytest.mark.parametrize("degree", [1, 2, 5, 8])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_boundary_ranks_come_from_the_ranked_walk(n, degree):
+    cfg = SpectrumConfig(n, degree, Fraction(2, 5))
+    points = boundary_points(cfg)
+    for point in points:
+        assert point.kind == BOUNDARY
+        for pattern in point.provenance:
+            assert point.ranks == spectrum.boundary_ranks(pattern, cfg)
+    assert points == _reference_boundary_points(cfg)
+    assert boundary_patterns(cfg) == _reference_patterns(cfg)
 
 
 def test_boundary_shape_invariants():
