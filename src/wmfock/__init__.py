@@ -7,8 +7,8 @@ and gauge-covariance checks over sampled roots of unity -- every symbolic
 rule validated against a brute-force matrix oracle, all arithmetic exact.
 """
 
-from .fock import (CheckResult, MultiIndex, Tally, TruncationParams,
-                   check_guarded_identity, enumerate_basis)
+from .fock import (MultiIndex, Tally, TruncationParams, check_guarded_identity,
+                   enumerate_basis)
 from .gauge import (BLOCK_SHIFT_UNITARY, PAPER_UNITARY, BundleRep, build_bundle,
                     check_covariance, check_quotient_relation, gauge_unitary,
                     vacuum_operator_spectrum)
@@ -24,7 +24,7 @@ from .words import (GeneratorSymbol, NormalForm, NormalMonomial, ProductResult,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BLOCK_SHIFT_UNITARY", "BundleRep", "CheckResult", "FunctionalKey",
+    "BLOCK_SHIFT_UNITARY", "BundleRep", "FunctionalKey",
     "GeneratorSymbol", "MultiIndex", "NormalForm", "NormalMonomial",
     "PAPER_UNITARY", "PhaseMatrix", "ProductResult", "SparseOp",
     "SpectrumConfig", "SpectrumPoint", "Tally", "TruncationParams", "Word",

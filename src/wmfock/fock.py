@@ -31,7 +31,6 @@ guarded band that reaches degree A + 1 decides the untruncated identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
@@ -175,21 +174,6 @@ def column_map(params: TruncationParams, index: int, starred: bool) -> PhaseMatr
     return PhaseMatrix(out)
 
 
-@dataclass
-class CheckResult:
-    """Outcome of a guarded identity check.
-
-    ``truncation_artifact`` is set when the identity holds on the guarded
-    subspace but fails somewhere in the cut top layers; such a failure is a
-    consequence of truncation, not of the identity being false.
-    """
-
-    ok: bool
-    columns_checked: int
-    first_failure: Optional[dict] = None
-    truncation_artifact: bool = False
-
-
 class Tally:
     """The failure books of one check: every failure is counted, and only
     the first one's payload is built, by calling the ``payload`` given to
@@ -208,13 +192,16 @@ class Tally:
 
 
 def check_guarded_identity(params: TruncationParams, lhs: SparseOp, rhs: SparseOp,
-                           guard: int) -> CheckResult:
-    """Compare both sides column-by-column on the guarded subspace.
+                           guard: int) -> Tuple[int, Tally, bool]:
+    """Compare both sides on the guarded subspace, as ``(cases, tally, artifact)``.
 
     ``guard`` is the maximal intermediate creation excursion of the words
-    realized by either side; the identity is asserted only on basis vectors
-    of degree ``<= max_degree - guard``, where truncated creators act
-    exactly like their untruncated counterparts.
+    realized by either side; the identity is asserted only on the ``cases``
+    basis vectors of degree ``<= max_degree - guard``, where truncated
+    creators act exactly like their untruncated counterparts.  Differing
+    bands are one failure, whose payload shows the lowest differing column.
+    ``artifact`` is set when the bands agree but the cut top layers differ:
+    a consequence of truncation, not of the identity being false.
     """
     if lhs.dim != rhs.dim:
         raise ValueError("dimension mismatch between sides: %d vs %d" % (lhs.dim, rhs.dim))
@@ -223,31 +210,18 @@ def check_guarded_identity(params: TruncationParams, lhs: SparseOp, rhs: SparseO
     if not 0 <= guard <= params.max_degree:
         raise ValueError("guard must lie in 0..max_degree")
     cutoff = params.degree_prefix(params.max_degree - guard)
-    basis = enumerate_basis(params)
-    lhs_cols = lhs.columns()
-    rhs_cols = rhs.columns()
-    first_failure = None
-    for col in range(cutoff):
-        left = lhs_cols.get(col, {})
-        right = rhs_cols.get(col, {})
-        if left != right:
-            first_failure = _failure_payload(basis, col, left, right)
-            break
-    ok = first_failure is None
-    artifact = False
-    if ok:
-        for col in range(cutoff, params.basis_size):
-            if lhs_cols.get(col, {}) != rhs_cols.get(col, {}):
-                artifact = True
-                break
-    return CheckResult(ok=ok, columns_checked=cutoff,
-                       first_failure=first_failure, truncation_artifact=artifact)
+    left, right = lhs.restrict_columns(cutoff), rhs.restrict_columns(cutoff)
+    tally = Tally()
+    if left != right:
+        col = min(c for (_, c), _ in left.entries.items() ^ right.entries.items())
+        tally.fail(lambda: {
+            "basis_position": col,
+            "multi_index": list(enumerate_basis(params)[col]),
+            "lhs_column": _column(left, col),
+            "rhs_column": _column(right, col),
+        })
+    return cutoff, tally, not tally.failures and lhs != rhs
 
 
-def _failure_payload(basis, col: int, left: Dict[int, Fraction], right: Dict[int, Fraction]) -> dict:
-    return {
-        "basis_position": col,
-        "multi_index": list(basis[col]),
-        "lhs_column": [[r, frac_str(v)] for r, v in sorted(left.items())],
-        "rhs_column": [[r, frac_str(v)] for r, v in sorted(right.items())],
-    }
+def _column(op: SparseOp, col: int) -> List[list]:
+    return [[r, frac_str(v)] for (r, c), v in sorted(op.entries.items()) if c == col]

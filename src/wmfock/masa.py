@@ -10,8 +10,11 @@ computable ingredients of that statement:
 * the combination of diagonal projections ``P_mu`` whose value is the
   rank-one projection onto a single basis state.
 
-Maximality itself is a statement about the untruncated commutant and is not
-asserted here; only its finite-rank ingredients are."""
+On a guarded band these checks give maximality, ``D' ∩ W = D`` for the
+diagonal D in the word algebra W: by ``rank-one-projections`` each ``e_cc``
+lies in the span of the ``P_nu``, so T in ``D' ∩ W`` equals its expectation
+E(T) there, and by ``expectation-of-monomials`` E maps every normal
+monomial, hence all of W, into D (the derivation is in the README)."""
 
 from __future__ import annotations
 

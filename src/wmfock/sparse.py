@@ -9,10 +9,10 @@
   and diagonals of words are read from its arrays.
 * :class:`SparseOp`, for integer or rational linear combinations (sums of
   words, evaluated normal forms, diagonals): a map from ``(row, col)`` to a
-  nonzero rational.  Combinations of 0/1 maps are built by
-  :meth:`SparseOp.from_terms`.  Its scalars are real, so its adjoint is the
-  transpose.  Its product is the dictionary reference the kernel's
-  products are tested against.
+  nonzero scalar, kept as given (int or Fraction).  Combinations of 0/1
+  maps are built by :meth:`SparseOp.from_terms`.  Its scalars are real, so
+  its adjoint is the transpose.  Its product is the dictionary reference
+  the kernel's products are tested against.
 
 Everything is exact: equal operators have equal arrays or entry maps, so
 verdicts need no tolerances.
@@ -28,18 +28,13 @@ Coord = Tuple[int, int]
 Scalar = Union[int, Fraction]
 
 
-def _frac(value) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
-
-
-def frac_str(value: Fraction) -> str:
-    """Render a rational as ``p/q`` (denominator always shown)."""
-    value = _frac(value)
+def frac_str(value: Scalar) -> str:
+    """Render an int or a Fraction as ``p/q`` (denominator always shown)."""
     return "%d/%d" % (value.numerator, value.denominator)
 
 
 class SparseOp:
-    """Square sparse matrix with exact rational entries."""
+    """Square sparse matrix with exact entries, each kept as given."""
 
     __slots__ = ("dim", "entries")
 
@@ -50,7 +45,6 @@ class SparseOp:
             for (r, c), val in entries.items():
                 if not (0 <= r < dim and 0 <= c < dim):
                     raise ValueError("entry (%d, %d) outside %dx%d matrix" % (r, c, dim, dim))
-                val = _frac(val)
                 if val:
                     self.entries[r, c] = val
 
@@ -84,7 +78,7 @@ class SparseOp:
 
     @classmethod
     def identity(cls, dim: int) -> "SparseOp":
-        return cls(dim, {(i, i): Fraction(1) for i in range(dim)})
+        return cls(dim, {(i, i): 1 for i in range(dim)})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseOp):
@@ -94,12 +88,9 @@ class SparseOp:
     def __repr__(self) -> str:
         return "SparseOp(dim=%d, entries=%d)" % (self.dim, len(self.entries))
 
-    def _require_same_dim(self, other: "SparseOp") -> None:
+    def __matmul__(self, other: "SparseOp") -> "SparseOp":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch: %d vs %d" % (self.dim, other.dim))
-
-    def __matmul__(self, other: "SparseOp") -> "SparseOp":
-        self._require_same_dim(other)
         by_col: Dict[int, list] = {}
         for (r, c), val in self.entries.items():
             by_col.setdefault(c, []).append((r, val))
@@ -107,7 +98,7 @@ class SparseOp:
         for (k, c), bval in other.entries.items():
             for r, aval in by_col.get(k, ()):
                 coord = (r, c)
-                acc = out.get(coord, Fraction(0)) + aval * bval
+                acc = out.get(coord, 0) + aval * bval
                 if acc:
                     out[coord] = acc
                 else:
@@ -120,12 +111,6 @@ class SparseOp:
         result = SparseOp(self.dim)
         result.entries = {(c, r): val for (r, c), val in self.entries.items()}
         return result
-
-    def columns(self) -> Dict[int, Dict[int, Scalar]]:
-        out: Dict[int, Dict[int, Scalar]] = {}
-        for (r, c), val in self.entries.items():
-            out.setdefault(c, {})[r] = val
-        return out
 
     def diagonal(self, limit: Optional[int] = None) -> Dict[int, Scalar]:
         """Diagonal entries by position, only ``c < limit`` when a limit is given."""

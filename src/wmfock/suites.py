@@ -80,11 +80,9 @@ def _guarded_word_check(params: TruncationParams, name: str,
         # no basis vector leaves room for the excursion; nothing checkable
         return _check(name, 0, Tally(), guard=guard, truncationArtifact=False,
                       note="guard exceeds max degree; band empty")
-    result = check_guarded_identity(
+    cases, tally, artifact = check_guarded_identity(
         params, _word_sum(params, lhs_terms), _word_sum(params, rhs_terms), guard)
-    return _check(name, result.columns_checked,
-                  _verdict(result.ok, payload=lambda: result.first_failure),
-                  guard=guard, truncationArtifact=result.truncation_artifact)
+    return _check(name, cases, tally, guard=guard, truncationArtifact=artifact)
 
 
 def _is_adjoint_of(a: PhaseMatrix, b: PhaseMatrix) -> bool:
@@ -220,10 +218,13 @@ def _fixed_mask(matrix: PhaseMatrix) -> Optional[int]:
 def projections_suite(n: int, max_degree: int = 6, degree_cap: int = 4) -> dict:
     params = TruncationParams(n, max_degree)
     indices = indices_up_to(n, degree_cap)
-    matrices = {mu: evaluate_word(NormalMonomial.projection(mu).word(), params)
-                for mu in indices}
-    # a product of diagonal projections fixes the columns both fix
-    masks = {mu: _fixed_mask(matrix) for mu, matrix in matrices.items()}
+    # a product of diagonal projections fixes the columns both fix; each
+    # composed map is kept only as its mask and its verdict on P_mu P_mu = P_mu
+    masks, idempotent = {}, {}
+    for mu in indices:
+        matrix = evaluate_word(NormalMonomial.projection(mu).word(), params)
+        masks[mu] = _fixed_mask(matrix)
+        idempotent[mu] = masks[mu] is not None and matrix @ matrix == matrix
     product_rule, pivots_used = Tally(), set()
     below = [0] * len(indices)  # bit j of below[i] set when indices[j] < indices[i]
     for (i, mu), (j, nu) in cartesian(enumerate(indices), repeat=2):
@@ -232,8 +233,7 @@ def projections_suite(n: int, max_degree: int = 6, degree_cap: int = 4) -> dict:
         if m_mu is None or m_nu is None:
             oracle = None  # no class fits a map that is not a diagonal 0/1 map
         elif mu == nu:  # both classes hold; prefer the symbolic one, and keep the kernel product
-            oracle = (ProductResult.LEFT_SURVIVES
-                      if matrices[mu] @ matrices[mu] == matrices[mu] else None)
+            oracle = ProductResult.LEFT_SURVIVES if idempotent[mu] else None
         else:
             both = m_mu & m_nu
             oracle = (ProductResult.ZERO if not both else

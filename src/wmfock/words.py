@@ -184,14 +184,7 @@ class NormalMonomial:
         return self.creation == self.annihilation
 
     def word(self) -> Word:
-        out: List[GeneratorSymbol] = []
-        for j in range(self.n, 0, -1):
-            out.extend(GeneratorSymbol(j, True) for _ in range(self.creation[j - 1]))
-        if self.vacuum:
-            out.append(GeneratorSymbol(0))
-        for j in range(1, self.n + 1):
-            out.extend(GeneratorSymbol(j) for _ in range(self.annihilation[j - 1]))
-        return tuple(out)
+        return tuple(GeneratorSymbol(code >> 1, bool(code & 1)) for code in self.codes())
 
     def codes(self) -> Tuple[int, ...]:
         out: List[int] = []
@@ -265,12 +258,6 @@ class NormalForm:
                 out.pop(mono, None)
         result = NormalForm()
         result._terms = out
-        return result
-
-    def scaled(self, coeff) -> "NormalForm":
-        result = NormalForm()
-        if coeff:
-            result._terms = {m: coeff * c for m, c in self._terms.items()}
         return result
 
     def diagonal_part(self) -> "NormalForm":

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from wmfock.fock import (Tally, TruncationParams, basis_index, check_guarded_identity,
                          column_map, enumerate_basis, indices_up_to, iter_indices,
                          iter_ranked_indices)
-from wmfock.sparse import SparseOp
+from wmfock.sparse import PhaseMatrix, SparseOp, frac_str
 from wmfock.spectrum import r_value
 from wmfock.words import GeneratorSymbol, creation_guard, evaluate_word, parse_word
 
@@ -169,36 +169,36 @@ def test_guarded_identities_pass(n):
     a = [column_map(params, i, False) for i in range(n + 1)]
     c = [None] + [column_map(params, i, True) for i in range(1, n + 1)]
     # the top creator is an isometry for the annihilator side: A_n A_n^T = I
-    res = check_guarded_identity(params, to_op(a[n] @ c[n]), ident, 1)
-    assert res.ok and res.columns_checked == params.degree_prefix(5)
+    cases, tally, _ = check_guarded_identity(params, to_op(a[n] @ c[n]), ident, 1)
+    assert not tally.failures and cases == params.degree_prefix(5)
     # support decomposition for i = 1
     lhs = to_op(a[1] @ c[1])
     rhs = SparseOp.from_terms(size, [(1, a[0]), (1, c[1] @ a[1])])
-    res = check_guarded_identity(params, lhs, rhs, 1)
-    assert res.ok
+    _, tally, _ = check_guarded_identity(params, lhs, rhs, 1)
+    assert not tally.failures
     # mixed creator pair vanishes on the whole space
     lhs = to_op(a[1] @ c[2])
-    res = check_guarded_identity(params, lhs, SparseOp(size), 1)
-    assert res.ok
+    _, tally, _ = check_guarded_identity(params, lhs, SparseOp(size), 1)
+    assert not tally.failures
 
 
 def test_truncation_artifact_is_flagged_not_failed():
     params = TruncationParams(2, 3)
     ident = SparseOp.identity(params.basis_size)
     lhs = to_op(column_map(params, 2, False) @ column_map(params, 2, True))
-    res = check_guarded_identity(params, lhs, ident, 1)
-    assert res.ok
-    assert res.truncation_artifact  # the cut top layer differs, by construction
+    _, tally, artifact = check_guarded_identity(params, lhs, ident, 1)
+    assert not tally.failures
+    assert artifact  # the cut top layer differs, by construction
 
 
 def test_failure_reports_first_bad_basis_vector():
     params = TruncationParams(2, 3)
     ident = SparseOp.identity(params.basis_size)
     zero = SparseOp(params.basis_size)
-    res = check_guarded_identity(params, ident, zero, 0)
-    assert not res.ok
-    assert res.first_failure["basis_position"] == 0
-    assert res.first_failure["multi_index"] == [0, 0]
+    _, tally, _ = check_guarded_identity(params, ident, zero, 0)
+    assert tally.failures == 1
+    assert tally.first["basis_position"] == 0
+    assert tally.first["multi_index"] == [0, 0]
 
 
 def test_guarded_identity_validation():
@@ -212,6 +212,70 @@ def test_guarded_identity_validation():
         check_guarded_identity(params, SparseOp(10), SparseOp(10), 7)
     with pytest.raises(ValueError, match="guard must lie"):
         check_guarded_identity(params, SparseOp(10), SparseOp(10), -1)
+
+
+def _column_by_column(params, lhs, rhs, guard):
+    """The column-by-column loop that check_guarded_identity replaced, as
+    (cases, failures, first payload, artifact)."""
+    cutoff = params.degree_prefix(params.max_degree - guard)
+    lhs_cols, rhs_cols = {}, {}
+    for op, cols in ((lhs, lhs_cols), (rhs, rhs_cols)):
+        for (r, c), v in op.entries.items():
+            cols.setdefault(c, {})[r] = v
+    for col in range(cutoff):
+        left, right = lhs_cols.get(col, {}), rhs_cols.get(col, {})
+        if left != right:
+            return cutoff, 1, {
+                "basis_position": col,
+                "multi_index": list(enumerate_basis(params)[col]),
+                "lhs_column": [[r, frac_str(v)] for r, v in sorted(left.items())],
+                "rhs_column": [[r, frac_str(v)] for r, v in sorted(right.items())],
+            }, False
+    artifact = any(lhs_cols.get(col, {}) != rhs_cols.get(col, {})
+                   for col in range(cutoff, params.basis_size))
+    return cutoff, 0, None, artifact
+
+
+_COEFFS = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
+
+
+@st.composite
+def guarded_pairs(draw):
+    """Two combinations of random order-1 maps over a small basis, and a guard.
+
+    Both sides share some terms.  Each side then adds terms whose live
+    columns lie in one region: the guarded band, the cut layers above it,
+    or anywhere.  A term may come with its negation, so its entries cancel.
+    """
+    n, max_degree = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    params = TruncationParams(n, max_degree)
+    guard = draw(st.integers(0, max_degree))  # guard == max_degree: the vacuum column only
+    dim, cutoff = params.basis_size, params.degree_prefix(max_degree - guard)
+
+    def terms(columns):
+        out = []
+        for _ in range(draw(st.integers(0, 2))):
+            image = [draw(st.integers(-1, dim - 1)) if c in columns else -1 for c in range(dim)]
+            coeff = draw(_COEFFS)
+            out.append((coeff, PhaseMatrix(image)))
+            if draw(st.booleans()):
+                out.append((-coeff, PhaseMatrix(image)))
+        return out
+
+    regions = [range(cutoff), range(cutoff, dim), range(dim)]
+    shared = terms(range(dim))
+    sides = [SparseOp.from_terms(dim, shared + terms(draw(st.sampled_from(regions))))
+             for _ in range(2)]
+    return params, sides[0], sides[1], guard
+
+
+@settings(max_examples=400, deadline=None)
+@given(guarded_pairs())
+def test_guarded_identity_matches_the_column_by_column_loop(case):
+    params, lhs, rhs, guard = case
+    cases, tally, artifact = check_guarded_identity(params, lhs, rhs, guard)
+    assert (cases, tally.failures, tally.first, artifact) == _column_by_column(
+        params, lhs, rhs, guard)
 
 
 def test_tally_counts_every_failure_and_builds_only_the_first_payload():

@@ -174,8 +174,8 @@ def test_normal_form_algebra():
     vac = NormalForm.of(NormalMonomial.vacuum_projection(2), Fraction(1, 2))
     total = one + vac
     assert dict(total.items())[NormalMonomial.identity(2)] == 1
-    assert total + one.scaled(-1) == vac
-    assert total.scaled(0).is_zero()
+    assert total + NormalForm.of(NormalMonomial.identity(2), -1) == vac
+    assert NormalForm({m: 0 * c for m, c in total.items()}).is_zero()
     assert vac.diagonal_part() == vac
     off = NormalForm.of(NormalMonomial((1, 0), False, (0, 1)))
     assert off.diagonal_part().is_zero()
