@@ -30,7 +30,7 @@ guarded band that reaches degree A + 1 decides the untruncated identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import comb
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
@@ -41,18 +41,17 @@ MultiIndex = Tuple[int, ...]
 Ranked = Tuple[MultiIndex, Tuple[int, ...]]  # a count vector and its exponents
 
 
-@dataclass(frozen=True)
-class TruncationParams:
+class TruncationParams(namedtuple("TruncationParams", "n max_degree")):
     """Number of generators and the maximal retained tensor degree."""
 
-    n: int
-    max_degree: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError("need at least two generators, got n=%d" % self.n)
-        if self.max_degree < 1:
-            raise ValueError("max_degree must be >= 1, got %d" % self.max_degree)
+    def __new__(cls, n: int, max_degree: int) -> "TruncationParams":
+        if n < 2:
+            raise ValueError("need at least two generators, got n=%d" % n)
+        if max_degree < 1:
+            raise ValueError("max_degree must be >= 1, got %d" % max_degree)
+        return tuple.__new__(cls, (n, max_degree))
 
     @property
     def basis_size(self) -> int:

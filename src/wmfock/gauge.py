@@ -25,17 +25,20 @@ comparisons are exact integer arithmetic on those exponents.  This module
 forms no linear combinations; those exist only for order-1 maps, built by
 :meth:`~wmfock.sparse.SparseOp.from_terms`.
 
-Each gauge unitary is built, and checked unitary, once per
-``(rep, w mod K, variant)`` in a bounded cache, and keeps the adjoint that
-check built; covariance and group-law checks that ask for it again get the
-same object.
+A bundle is an immutable value of ``(params, roots)``, so equal bundles
+share cache entries.  Each gauge unitary is built, and checked unitary,
+once per ``(rep, w mod K, variant)`` in a bounded cache, and keeps the
+adjoint that check built; covariance and group-law checks that ask for it
+again get the same object, a tuple compared by identity.  The annihilator
+maps and the unitaries with their adjoints read every image entry from the
+bundle's one position tuple, so they hold no position ints of their own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import List, Tuple
+from operator import itemgetter
+from typing import List, NamedTuple, Tuple
 
 from .fock import Tally, TruncationParams, basis_degrees, column_map
 from .sparse import PhaseMatrix
@@ -45,16 +48,32 @@ BLOCK_SHIFT_UNITARY = "shift"
 _VARIANTS = (PAPER_UNITARY, BLOCK_SHIFT_UNITARY)
 
 
-@dataclass(frozen=True)
 class BundleRep:
     """Direct sum of K Fock blocks; block s carries the sample exp(2 pi i s/K)."""
 
-    params: TruncationParams
-    roots: int
-
-    def __post_init__(self) -> None:
-        if self.roots < 1:
+    def __init__(self, params: TruncationParams, roots: int) -> None:
+        if roots < 1:
             raise ValueError("need at least one circle sample")
+        self.__dict__.update(params=params, roots=roots)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError("cannot assign to field %r" % name)
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.params, self.roots) == (other.params, other.roots)
+
+    def __hash__(self) -> int:
+        return hash((self.params, self.roots))
+
+    def __repr__(self) -> str:
+        return "BundleRep(params=%r, roots=%r)" % (self.params, self.roots)
+
+    def __reduce__(self):
+        return BundleRep, (self.params, self.roots)
 
     @property
     def block_size(self) -> int:
@@ -97,22 +116,27 @@ def bundle_operator(rep: BundleRep, index: int) -> PhaseMatrix:
             phase[pos] = s
         return PhaseMatrix(image, rep.roots, phase)
     block = column_map(rep.params, index, False).image
+    positions = rep.positions
     image = []
     for s in range(rep.roots):
         base = s * rep.block_size
-        image.extend(base + row if row >= 0 else -1 for row in block)
+        image.extend(positions[base + row] if row >= 0 else -1 for row in block)
     return PhaseMatrix(image, rep.roots)
 
 
-@dataclass(frozen=True, eq=False)
-class GaugeUnitary:
+class GaugeUnitary(NamedTuple):
     """A gauge unitary for the root with exponent ``0 <= w < K``, with the
-    adjoint its unitarity check built."""
+    adjoint its unitarity check built.  Compared by identity: each is the
+    one cached object for its root."""
 
     variant: str
     w: int
     matrix: PhaseMatrix
     adjoint: PhaseMatrix
+
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
 
 def gauge_unitary(rep: BundleRep, w: int, variant: str) -> GaugeUnitary:
@@ -131,8 +155,8 @@ def _build_unitary(rep: BundleRep, w: int, variant: str) -> GaugeUnitary:
     """Build the gauge unitary for ``0 <= w < K``.
 
     Unitarity (U U* = I in exponent arithmetic) is verified at construction.
-    The image is sliced from the bundle's shared position tuple, so cached
-    unitaries hold no position ints of their own.
+    The image is sliced, and the adjoint's image gathered, from the bundle's
+    position tuple.
     """
     K = rep.roots
     size = rep.block_size
@@ -150,13 +174,16 @@ def _build_unitary(rep: BundleRep, w: int, variant: str) -> GaugeUnitary:
     phase = [-w * d for d in basis_degrees(rep.params)] * K
     matrix = PhaseMatrix(image, K, phase)
     adjoint = matrix.adjoint()
+    # ``adjoint()`` numbers its image with enumerate, a new int per entry;
+    # read the entries from the positions instead (a zero column reads -1)
+    adjoint = PhaseMatrix._from_arrays(
+        itemgetter(*adjoint.image)(positions + (-1,)), adjoint.phase, K)
     if matrix @ adjoint != PhaseMatrix.identity(rep.dim, K):
         raise AssertionError("gauge unitary failed the exact unitarity check")
     return GaugeUnitary(variant, w, matrix, adjoint)
 
 
-@dataclass
-class CovarianceResult:
+class CovarianceResult(NamedTuple):
     ok: bool
     failures: List[dict]
 

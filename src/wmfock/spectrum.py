@@ -16,7 +16,9 @@ stores the integer rank of each coordinate in its configuration's table;
 ``point.coords(values)`` reads its exact Fraction coordinates from that
 table.  Ranks order, group and key points exactly as their coordinates
 would.  :func:`embed` computes the coordinates of an index from ``c``
-alone, as an oracle that does not read the table.
+alone, as an oracle that does not read the table.  Configurations,
+boundary patterns, points and functional keys are immutable tuple values;
+a configuration validates in ``__new__`` and keeps ``c`` as a Fraction.
 
 The dataset is a stream.  :func:`enumerate_spectrum` yields the interior
 points as :func:`wmfock.fock.iter_ranked_indices` walks the indices with
@@ -40,7 +42,7 @@ the text is built.  Both outputs are byte-deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
@@ -56,30 +58,27 @@ INTERIOR = "interior"
 BOUNDARY = "boundary"
 
 
-@dataclass(frozen=True)
-class SpectrumConfig:
-    n: int
-    max_degree: int
-    c: Fraction
+class SpectrumConfig(namedtuple("SpectrumConfig", "n max_degree c")):
+    """Number of letters, maximal degree and the exact ratio ``0 < c < 1``."""
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
+    __slots__ = ()
+
+    def __new__(cls, n: int, max_degree: int, c: Fraction) -> "SpectrumConfig":
+        if n < 2:
             raise ValueError("need n >= 2")
-        if self.max_degree < 1:
+        if max_degree < 1:
             raise ValueError("max_degree must be >= 1")
-        c = self.c
         if isinstance(c, float):
             raise TypeError("c must be exact (a Fraction, an int or a 'p/q' string), "
                             "not the float %r" % c)
         if not isinstance(c, Fraction):
-            object.__setattr__(self, "c", Fraction(c))
-            c = self.c
+            c = Fraction(c)
         if not Fraction(0) < c < Fraction(1):
             raise ValueError("c must lie strictly between 0 and 1")
+        return tuple.__new__(cls, (n, max_degree, c))
 
 
-@dataclass(frozen=True)
-class BoundaryPattern:
+class BoundaryPattern(NamedTuple):
     """Limit pattern: pivot letter, 0/1 bits below it, finite tail above it."""
 
     pivot: int
@@ -201,8 +200,7 @@ def enumerate_spectrum(cfg: SpectrumConfig) -> Iterator[SpectrumPoint]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FunctionalKey:
+class FunctionalKey(NamedTuple):
     """A multiplicative functional: vacuum, identity, or a point functional."""
 
     kind: str

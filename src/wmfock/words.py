@@ -9,6 +9,8 @@ word reduces to an integer combination of *normal monomials*
 
 with creation indices non-increasing and annihilation indices non-decreasing
 in reading order, and at most one vacuum projection between the blocks.
+Letters and normal monomials are immutable tuple values that validate in
+``__new__``; they compare, hash and sort as the tuple of their fields.
 
 The reduction applies, to a fixpoint, the rule families
 
@@ -37,10 +39,10 @@ products of the truncated model.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import lru_cache, reduce
-from operator import matmul
+from operator import itemgetter, matmul
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .fock import MultiIndex, TruncationParams, column_map
@@ -59,18 +61,20 @@ class GeneratorIndexError(ValueError):
     """A generator index outside the configured range 0..n."""
 
 
-@dataclass(frozen=True)
-class GeneratorSymbol:
-    """One letter of a word: index 0..n, starred for the adjoint."""
+class GeneratorSymbol(namedtuple("GeneratorSymbol", "index starred")):
+    """One letter of a word: index 0..n, starred for the adjoint.
 
-    index: int
-    starred: bool = False
+    The field ``index`` shadows ``tuple.index``.
+    """
 
-    def __post_init__(self) -> None:
-        if self.index < 0:
+    __slots__ = ()
+
+    def __new__(cls, index: int, starred: bool = False) -> "GeneratorSymbol":
+        if index < 0:
             raise ValueError("generator index must be nonnegative")
-        if self.starred and self.index == 0:
+        if starred and index == 0:
             raise ValueError("a0 is self-adjoint; a0* is not a distinct symbol")
+        return tuple.__new__(cls, (index, starred))
 
     def __str__(self) -> str:
         return "a%d%s" % (self.index, "*" if self.starred else "")
@@ -139,19 +143,18 @@ def creation_guard(word: Iterable[GeneratorSymbol]) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NormalMonomial:
+class NormalMonomial(namedtuple("NormalMonomial", "creation vacuum annihilation")):
     """A monomial a*(creation) [P0] a(annihilation) in count-vector form."""
 
-    creation: MultiIndex
-    vacuum: bool
-    annihilation: MultiIndex
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.creation) != len(self.annihilation):
+    def __new__(cls, creation: MultiIndex, vacuum: bool,
+                annihilation: MultiIndex) -> "NormalMonomial":
+        if len(creation) != len(annihilation):
             raise ValueError("creation and annihilation parts must have equal length")
-        if any(x < 0 for x in self.creation) or any(x < 0 for x in self.annihilation):
+        if min(creation, default=0) < 0 or min(annihilation, default=0) < 0:
             raise ValueError("count vectors must be nonnegative")
+        return tuple.__new__(cls, (creation, vacuum, annihilation))
 
     @property
     def n(self) -> int:
@@ -196,9 +199,6 @@ class NormalMonomial:
             out.extend((2 * j,) * self.annihilation[j - 1])
         return tuple(out)
 
-    def sort_key(self):
-        return (self.creation, self.vacuum, self.annihilation)
-
     def render(self) -> str:
         pieces: List[str] = []
         if any(self.creation):
@@ -235,7 +235,7 @@ class NormalForm:
         return self._terms.items()
 
     def terms(self) -> List[Tuple[NormalMonomial, Scalar]]:
-        return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
+        return sorted(self._terms.items(), key=itemgetter(0))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -383,7 +383,7 @@ def _left_extend(code: int, monomial: NormalMonomial, n: int) -> Tuple[Tuple[Nor
     """Normal form of (one symbol) · (one normal monomial)."""
     reduced = _queue_rewrite((code,) + monomial.codes(), n)
     items = [(_monomial_from_codes(w, n), c) for w, c in reduced.items()]
-    items.sort(key=lambda kv: kv[0].sort_key())
+    items.sort(key=itemgetter(0))
     return tuple(items)
 
 

@@ -213,3 +213,21 @@ def test_unitarity_check_runs_on_first_build(monkeypatch):
     with pytest.raises(AssertionError, match="unitarity"):
         gauge_unitary(rep, 0, BLOCK_SHIFT_UNITARY)
     assert gauge._build_unitary.cache_info().currsize == 0
+
+
+def test_gauge_maps_share_the_bundle_positions():
+    # positions above 256 are distinct int objects, so ``is`` tells a shared
+    # position from a fresh int of the same value; the vacuum generator's K
+    # entries are left out
+    gauge.bundle_operator.cache_clear()
+    gauge._build_unitary.cache_clear()
+    rep = build_bundle(TruncationParams(3, 6), 4)
+    positions = rep.positions
+    assert rep.dim == 336
+    maps = [bundle_operator(rep, i) for i in range(1, 4)]
+    for variant in (PAPER_UNITARY, BLOCK_SHIFT_UNITARY):
+        unitary = gauge_unitary(rep, 1, variant)
+        assert unitary.adjoint == unitary.matrix.adjoint()
+        maps += [unitary.matrix, unitary.adjoint]
+    for op in maps:
+        assert all(row is positions[row] for row in op.image if row >= 0)
