@@ -34,10 +34,12 @@ SVG emitter writes the table over one common denominator
 (``q**max_degree`` for ``c = p/q``) and computes each pixel as an integer
 ratio, rounded to two decimals half to even and memoised on the rank tuple
 its axis reads; the frame's corners are ranks into the table ``(0, 1)``.
-Each emitter joins its text once from shared fragments (those rendered
-strings, the markup and the separators) and one provenance string per
-point, closing newline included, so no row string and no second copy of
-the text is built.  Both outputs are byte-deterministic.
+Each emitter joins its text once from shared fragments, closing newline
+included, so no row string and no second copy of the text is built.  An
+interior point of one index adds no string of its own: its row or dot is a
+few pieces memoised by value for the length of one emitter call, keyed by
+its first letter, its upper letters and slices of its own ranks.  Both
+outputs are byte-deterministic.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import lcm
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .fock import MultiIndex, Tally, indices_up_to, iter_ranked_indices
 from .sparse import frac_str
@@ -342,13 +344,7 @@ def render_provenance(item) -> str:
     if isinstance(item, BoundaryPattern):
         return "lim(k=%d;eps=(%s);tail=(%s))" % (
             item.pivot, ";".join(map(str, item.bits)), ";".join(map(str, item.tail)))
-    return _index_format(len(item)) % tuple(item)
-
-
-@lru_cache(maxsize=16)
-def _index_format(length: int) -> str:
-    """``"(%d;...;%d)"`` with ``length`` fields: one C-level format per index."""
-    return "(" + ";".join(["%d"] * length) + ")"
+    return "(%s)" % ";".join(["%d"] * len(item)) % tuple(item)
 
 
 def point_provenance(point: SpectrumPoint) -> str:
@@ -359,11 +355,13 @@ def emit_csv(points: Iterable[SpectrumPoint], cfg: SpectrumConfig) -> str:
     """The dataset as CSV: a header, then one row per point.
 
     ``points`` is read once, so a stream such as :func:`enumerate_spectrum`
-    is never held whole.  The text is one join over shared fragments: the
-    kind, the separators and each table value's two field strings (exact
-    and decimal), with one provenance string per point.  No row string is
-    built, and the closing newline is the last fragment, so the text is
-    never copied whole.
+    is never held whole.  The text is one join over shared fragments ending
+    in the closing newline, so no row string is built and the text is never
+    copied whole.  An interior point of one index ``(a;b;...)`` is six
+    pieces: ``"\\ninterior,(a"`` keyed by ``a``, ``";b;...)"`` by the upper
+    letters, the exact field of ``ranks[0]``, those of ``ranks[1:]`` keyed
+    by that slice, and the same two for the decimals; keyed pieces are
+    memoised by value for this call.  Other rows add their provenance string.
     """
     header = ["kind", "provenance"]
     header.extend("x%d" % k for k in range(1, cfg.n + 1))
@@ -371,15 +369,22 @@ def emit_csv(points: Iterable[SpectrumPoint], cfg: SpectrumConfig) -> str:
     values = coordinate_values(cfg)
     exact = ["," + frac_str(x) for x in values]
     dec = ["," + decimal15(x) for x in values]
-    index_format = _index_format(cfg.n)
+    exact_tails = _Memo(lambda upper: "".join(map(exact.__getitem__, upper)))
+    dec_tails = _Memo(lambda upper: "".join(map(dec.__getitem__, upper)))
+    heads = _Memo("\ninterior,(%d".__mod__)
+    uppers = _Memo(lambda upper: (";%d" * len(upper) + ")") % upper)
     fragments = [",".join(header)]
     extend = fragments.extend
     for point in points:
         ranks, kind, provenance = point
-        extend(("\n", kind, ",", index_format % provenance[0]
-                if kind == INTERIOR and len(provenance) == 1 else point_provenance(point)))
-        extend(map(exact.__getitem__, ranks))
-        extend(map(dec.__getitem__, ranks))
+        if kind == INTERIOR and len(provenance) == 1:
+            mu, upper = provenance[0], ranks[1:]
+            extend((heads[mu[0]], uppers[mu[1:]], exact[ranks[0]], exact_tails[upper],
+                    dec[ranks[0]], dec_tails[upper]))
+        else:
+            extend(("\n", kind, ",", point_provenance(point)))
+            extend(map(exact.__getitem__, ranks))
+            extend(map(dec.__getitem__, ranks))
     fragments.append("\n")
     return "".join(fragments)
 
@@ -399,41 +404,43 @@ def _ratio2(num: int, den: int) -> str:
     return "%s%d.%02d" % (sign, q // 100, q % 100)
 
 
-class _AxisTexts(dict):
-    """Pixel texts along one axis of a table, keyed by the rank tuple the
-    axis reads and filled on first use.
+class _Memo(dict):
+    """Texts keyed by value, each made by ``render(key)`` on first use."""
+
+    __slots__ = ("render",)
+
+    def __init__(self, render: Callable):
+        self.render = render
+
+    def __missing__(self, key):
+        text = self[key] = self.render(key)
+        return text
+
+
+def _pixel_texts(table: Sequence[Fraction], n: int, scale: Fraction) -> Tuple[_Memo, _Memo]:
+    """The x and y memos of a table: x reads ranks ``[:n - 1]`` (x1, and
+    x2 for n = 3), y reads ranks ``[1:]`` (x2 for n = 3, and x_n).
 
     With the table written over a common denominator as ``nums[r] / den``,
     the pixel of ranks ``(r, ...)`` is the integer ratio
     ``(offset + sum(w * nums[r])) / den``.  A value is the rendered pair
     (pixel, pixel - 4).
     """
-
-    def __init__(self, offset: int, weights: Tuple[int, ...], nums: List[int], den: int):
-        super().__init__()
-        self.offset, self.weights, self.nums, self.den = offset, weights, nums, den
-
-    def __missing__(self, ranks: Tuple[int, ...]) -> Tuple[str, str]:
-        nums = self.nums
-        num = self.offset + sum(w * nums[r] for w, r in zip(self.weights, ranks))
-        text = self[ranks] = (_ratio2(num, self.den), _ratio2(num - 4 * self.den, self.den))
-        return text
-
-
-def _pixel_texts(table: Sequence[Fraction], n: int,
-                 scale: Fraction) -> Tuple[_AxisTexts, _AxisTexts]:
-    """The x and y memos of a table: x reads ranks ``[:n - 1]`` (x1, and
-    x2 for n = 3), y reads ranks ``[1:]`` (x2 for n = 3, and x_n)."""
     table_den = lcm(*(x.denominator for x in table))
     nums = [x.numerator * (table_den // x.denominator) for x in table]
     weights = (scale, _SVG_DEPTH * scale)  # of x1 (or x_n) and of x2
     unit = lcm(*(w.denominator for w in weights))
     den = table_den * unit
     a, b = (w.numerator * (unit // w.denominator) for w in weights)
-    x_weights = (a, b) if n == 3 else (a,)
-    y_weights = (-b, -a) if n == 3 else (-a,)
-    return (_AxisTexts(_SVG_MARGIN * den, x_weights, nums, den),
-            _AxisTexts((_SVG_SIZE - _SVG_MARGIN) * den, y_weights, nums, den))
+
+    def axis(offset: int, weights: Tuple[int, ...]) -> _Memo:
+        def render(ranks: Tuple[int, ...]) -> Tuple[str, str]:
+            num = offset + sum(w * nums[r] for w, r in zip(weights, ranks))
+            return _ratio2(num, den), _ratio2(num - 4 * den, den)
+        return _Memo(render)
+
+    return (axis(_SVG_MARGIN * den, (a, b) if n == 3 else (a,)),
+            axis((_SVG_SIZE - _SVG_MARGIN) * den, (-b, -a) if n == 3 else (-a,)))
 
 
 def emit_svg(points: Iterable[SpectrumPoint], cfg: SpectrumConfig) -> str:
@@ -442,9 +449,11 @@ def emit_svg(points: Iterable[SpectrumPoint], cfg: SpectrumConfig) -> str:
 
     Interior points are filled dots, boundary points open squares.  Output
     is byte-deterministic for a fixed input order, and ``points`` is read
-    once.  As in :func:`emit_csv`, the text is one join over shared
-    fragments (markup and memoised pixel texts) and one provenance string
-    per point, closing newline included.
+    once into one join, as in :func:`emit_csv`.  A dot is four pieces, each
+    memoised by value for this call: its markup through ``cx`` by the ranks
+    the x axis reads, through the title's kind by those the y axis reads,
+    and its index as in a CSV row (``"(a"``, ``";b;...)"`` and the closing
+    tags), or its provenance string and the closing tags for several indices.
     """
     n = cfg.n
     if n not in (2, 3):
@@ -468,21 +477,24 @@ def emit_svg(points: Iterable[SpectrumPoint], cfg: SpectrumConfig) -> str:
                              % (x_frame[start[:n - 1]][0], y_frame[start[1:]][0],
                                 x_frame[end[:n - 1]][0], y_frame[end[1:]][0]))
     x_texts, y_texts = _pixel_texts(coordinate_values(cfg), n, scale)
-    index_format = _index_format(n)
+    dots_x = _Memo(lambda xs: '\n<circle cx="%s" cy="' % x_texts[xs][0])
+    dots_y = _Memo(lambda ys: '%s" r="4" fill="#c0392b"><title>interior ' % y_texts[ys][0])
+    heads = _Memo("(%d".__mod__)
+    uppers = _Memo(lambda upper: (";%d" * len(upper) + ")</title></circle>") % upper)
     fragments = ["\n".join(lines)]
     extend = fragments.extend
     for point in points:
         ranks, kind, provenance = point
-        x_text, y_text = x_texts[ranks[:n - 1]], y_texts[ranks[1:]]
-        if kind == INTERIOR:
-            extend(('\n<circle cx="', x_text[0], '" cy="', y_text[0],
-                    '" r="4" fill="#c0392b"><title>', kind, " ",
-                    index_format % provenance[0] if len(provenance) == 1
-                    else point_provenance(point), "</title></circle>"))
-        else:
-            extend(('\n<rect x="', x_text[1], '" y="', y_text[1],
+        xs, ys = ranks[:n - 1], ranks[1:]
+        if kind != INTERIOR:
+            extend(('\n<rect x="', x_texts[xs][1], '" y="', y_texts[ys][1],
                     '" width="8" height="8" fill="none" stroke="#2c3e50" '
                     'stroke-width="1.5"><title>', kind, " ", point_provenance(point),
                     "</title></rect>"))
+        elif len(provenance) == 1:
+            mu = provenance[0]
+            extend((dots_x[xs], dots_y[ys], heads[mu[0]], uppers[mu[1:]]))
+        else:
+            extend((dots_x[xs], dots_y[ys], point_provenance(point), "</title></circle>"))
     fragments.append("\n</svg>\n")
     return "".join(fragments)

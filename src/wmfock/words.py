@@ -496,8 +496,7 @@ def _compose_codes(codes: Sequence[int], params: TruncationParams) -> PhaseMatri
     """Product of the generator maps spelled by ``codes``, leftmost last."""
     if not codes:
         return PhaseMatrix.identity(params.basis_size)
-    return reduce(matmul, [column_map(params, code >> 1, bool(code & 1) and (code >> 1) > 0)
-                           for code in codes])
+    return reduce(matmul, [column_map(params, code >> 1, bool(code & 1)) for code in codes])
 
 
 @lru_cache(maxsize=None)

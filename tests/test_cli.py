@@ -59,6 +59,16 @@ def test_usage_errors_exit_two():
     assert run_cli("spectrum", "--n", "4", "--format", "svg").returncode == 2
 
 
+@pytest.mark.parametrize("command", ["verify", "spectrum"])
+@pytest.mark.parametrize("c", ["0", "1"])
+def test_c_at_either_end_exits_two(command, c, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, "--c", c])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "wmfock: error: --c must lie strictly between 0 and 1\n")
+
+
 def test_io_error_exit_three(tmp_path):
     target = tmp_path / "missing" / "report.json"
     result = run_cli("verify", "--n", "2", "--max-degree", "4",

@@ -23,6 +23,13 @@ def test_out_of_range_entry_rejected():
         SparseOp(2, {(2, 0): 1})
 
 
+@pytest.mark.parametrize("coord", [(0, 2), (-1, 0), (0, -1)])
+def test_entry_outside_the_columns_or_rows_rejected(coord):
+    with pytest.raises(ValueError, match="outside 2x2 matrix"):
+        SparseOp(2, {coord: 1})
+    assert SparseOp(2, {(1, 1): 1}).entries == {(1, 1): 1}  # the last row and column
+
+
 def test_addition_cancels_exactly():
     a = PhaseMatrix([-1, 0])  # the one entry (0, 1)
     b = PhaseMatrix([1, 0])   # the entries (1, 0) and (0, 1)

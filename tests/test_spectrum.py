@@ -572,6 +572,19 @@ def _svg_reference(points, cfg):
     return "".join(lines)
 
 
+def _hand_built_points(cfg):
+    """Points no enumeration yields, each at the ranks of a real point: an
+    interior point of two indices, one of an index whose letters all exceed
+    ``max_degree``, and a boundary point of the vertex (1, ..., 1)."""
+    n, top = cfg.n, cfg.max_degree + 1
+    mu = indices_up_to(n, cfg.max_degree)[-1]
+    ranks = tuple(r_value(mu, k) for k in range(1, n + 1))
+    pattern = BoundaryPattern(n, (1,) * (n - 1), ())
+    return [SpectrumPoint(ranks, INTERIOR, (mu, mu[::-1])),
+            SpectrumPoint(ranks, INTERIOR, ((top,) + (top + 1,) * (n - 1),)),
+            SpectrumPoint((top,) * n, BOUNDARY, (pattern,))]
+
+
 def _check_against_references(cfg):
     indices = indices_up_to(cfg.n, cfg.max_degree)
     interior = list(interior_points(cfg))
@@ -579,11 +592,12 @@ def _check_against_references(cfg):
     values = coordinate_values(cfg)
     assert [p.coords(values) for p in interior] == [embed(mu, cfg.c) for mu in indices]
     points = list(enumerate_spectrum(cfg))
-    shuffled = list(points)
+    shuffled = points + _hand_built_points(cfg)
     random.Random(5).shuffle(shuffled)
     for order in (points, shuffled):
         assert emit_csv(order, cfg) == _csv_reference(order, cfg)
-        assert emit_svg(order, cfg) == _svg_reference(order, cfg)
+        if cfg.n <= 3:
+            assert emit_svg(order, cfg) == _svg_reference(order, cfg)
 
 
 @pytest.mark.parametrize("n,degree", [(2, 12), (3, 10), (4, 6)])
@@ -611,7 +625,7 @@ def test_emitters_read_a_one_shot_stream(n, degree):
 
 
 @pytest.mark.parametrize("c", [HALF, Fraction(3, 7), Fraction(5, 7)])
-@pytest.mark.parametrize("n,degree", [(2, 12), (3, 10)])
+@pytest.mark.parametrize("n,degree", [(2, 12), (3, 10), (4, 6)])  # (4, 6): csv only
 def test_emitters_match_reference_loops(n, degree, c):
     _check_against_references(SpectrumConfig(n, degree, c))
 
@@ -638,6 +652,24 @@ def test_emission_holds_the_text_once(emit):
     finally:
         tracemalloc.stop()
     assert peak - start < 3.0 * len(text)
+
+
+@pytest.mark.parametrize("emit,bound", [(emit_csv, 1.55), (emit_svg, 2.1)])
+def test_emission_peak_at_the_benchmark_size(emit, bound):
+    # an interior point of one index adds no string of its own and takes six
+    # list slots (csv) or four (svg): at (3, 60, 3/7) the peak is 1.41-1.42
+    # and 1.81-1.84 times the text on CPython 3.10-3.13, where a provenance
+    # string and ten or more slots per point gave 1.69-1.73 and 2.52-2.62
+    cfg = SpectrumConfig(3, 60, Fraction(3, 7))
+    points = enumerate_spectrum(cfg)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        text = emit(points, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < bound * len(text)
 
 
 # SHA-256 of the datasets, recorded before the emitters were memoised and

@@ -279,3 +279,40 @@ def test_rank_one_check_catches_an_off_diagonal_entry(monkeypatch):
     rank = next(c for c in report["checks"] if c["name"] == "rank-one-projections")
     assert rank["failures"] > 0
     assert rank["firstFailure"] == {"mu": [0, 0]}
+
+
+def test_guard_at_max_degree_compares_the_vacuum_column_alone():
+    # a1* a2* vanishes and climbs two degrees above the state it acts on
+    pair = suites._symbols((1, True), (2, True))
+    vacuum = suites._symbols((0, False))
+    check = suites._guarded_word_check(TruncationParams(2, 2), "pair", [(1, pair)], [])
+    assert (check["cases"], check["failures"], check["guard"]) == (1, 0, 2)
+    assert "note" not in check
+    # the band is the vacuum column, so P0 added to one side is seen there
+    check = suites._guarded_word_check(TruncationParams(2, 2), "pair",
+                                       [(1, pair), (1, vacuum)], [(1, pair)])
+    assert (check["cases"], check["failures"]) == (1, 1)
+    beyond = suites._guarded_word_check(TruncationParams(2, 1), "pair", [(1, pair)], [])
+    assert (beyond["cases"], beyond["failures"], beyond["guard"]) == (0, 0, 2)
+    assert beyond["note"] == "guard exceeds max degree; band empty"
+
+
+def test_soundness_check_stops_at_five_failures(monkeypatch):
+    # every rewrite negated: each a0 fails on the vacuum column
+    monkeypatch.setattr(suites, "rewrite", lambda word, n: NormalForm(
+        {m: -c for m, c in rewrite(word, n).items()}))
+    words = iter([suites._symbols((0, False))] * 8)
+    report = soundness_check(words, TruncationParams(2, 3))
+    assert (report["cases"], report["failures"]) == (5, 5)
+    assert report["first_failure"] == {"word": "a0", "guard": 0}
+    assert len(list(words)) == 3  # the rest is never read
+
+
+@pytest.mark.parametrize("max_degree,interior,boundary", [(1, 2, 4), (2, 5, 5), (3, 8, 5)])
+def test_worked_display_counts_at_small_degrees(max_degree, interior, boundary):
+    # a named point is counted only when max_degree reaches its exponents
+    checks = {c["name"]: c for c in spectrum_suite(2, max_degree, HALF)["checks"]}
+    named = checks["worked-display-interior-points"]
+    assert (named["cases"], named["failures"]) == (interior, 0)
+    named = checks["worked-display-boundary-points"]
+    assert (named["cases"], named["failures"]) == (boundary, 0)
