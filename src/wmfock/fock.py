@@ -33,12 +33,13 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from math import comb
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .sparse import PhaseMatrix, SparseOp, frac_str
 
 MultiIndex = Tuple[int, ...]
 Ranked = Tuple[MultiIndex, Tuple[int, ...]]  # a count vector and its exponents
+Block = Tuple[int, int, MultiIndex, Tuple[int, ...]]  # total, tail, upper, upper_ranks
 
 
 class TruncationParams(namedtuple("TruncationParams", "n max_degree")):
@@ -85,21 +86,23 @@ def bottom_letter(mu: MultiIndex) -> int:
     return 0
 
 
-def _ranked_compositions(total: int, parts: int, tail: int, upper: MultiIndex,
-                         upper_ranks: Tuple[int, ...]) -> Iterator[Ranked]:
-    # Letters 1..parts of degree ``total`` below ``upper`` (degree ``tail``),
-    # ascending in the lexicographic order of the reversed tuple.
-    if parts == 2:  # the flat loop that makes almost every vector
-        whole = tail + total
-        for top in range(total + 1):
-            yield ((total - top, top) + upper,
-                   (whole if top < total else 0, tail + top if top else 0) + upper_ranks)
-    elif parts == 1:  # n = 1 only, as for a boundary tail above pivot n - 1
-        yield (total,) + upper, (tail + total if total else 0,) + upper_ranks
-    else:
-        for top in range(total + 1):
-            yield from _ranked_compositions(total - top, parts - 1, tail + top, (top,) + upper,
-                                            (tail + top if top else 0,) + upper_ranks)
+def _ranked_blocks(total: int, parts: int, tail: int, upper: MultiIndex,
+                   upper_ranks: Tuple[int, ...]) -> Iterator[Block]:
+    # Runs of letters 1..parts >= 3 of degree ``total`` below ``upper`` (degree ``tail``),
+    # letters 3..parts ascending in the lexicographic order of the reversed tuple.
+    for top in range(total + 1):
+        below, ranks = tail + top, (tail + top if top else 0,) + upper_ranks
+        if parts == 3:
+            yield total - top, below, (top,) + upper, ranks
+        else:
+            yield from _ranked_blocks(total - top, parts - 1, below, (top,) + upper, ranks)
+
+
+def iter_ranked_blocks(n: int, cap: int) -> Iterator[Block]:
+    """The walk in runs ``(total, tail, upper, upper_ranks)``: letters 3..n
+    fixed at ``upper`` (degree ``tail``), letters 1 and 2 sharing ``total``."""
+    for d in range(cap + 1):
+        yield from _ranked_blocks(d, n, 0, (), ()) if n > 2 else ((d, 0, (), ()),)
 
 
 def iter_ranked_indices(n: int, cap: int) -> Iterator[Ranked]:
@@ -108,10 +111,29 @@ def iter_ranked_indices(n: int, cap: int) -> Iterator[Ranked]:
 
     The exponent ``r_k(mu)`` of letter k is the tail degree ``mu_k + ... +
     mu_n``, or 0 where ``mu_k = 0``.  The walk carries the upper letters'
-    tail degree down from letter n and makes the last two in one flat loop.
+    tail degree down from letter n and expands each run of
+    :func:`iter_ranked_blocks` in one flat loop, cheaper on short runs than
+    :func:`run_columns`, which gives the same rows as columns.
     """
-    for d in range(cap + 1):
-        yield from _ranked_compositions(d, n, 0, (), ())
+    for total, tail, upper, upper_ranks in iter_ranked_blocks(n, cap):
+        if n == 1:  # a run is one vector, as for a boundary tail above pivot n - 1
+            yield (total,), (total,)
+            continue
+        whole = tail + total
+        for top in range(total + 1):
+            yield ((total - top, top) + upper,
+                   (whole if top < total else 0, tail + top if top else 0) + upper_ranks)
+
+
+def run_columns(run: Block) -> Tuple[Tuple[Sequence[int], ...], Tuple[Sequence[int], ...]]:
+    """A run (``n >= 2``) as re-readable columns of its letters, letter 2
+    climbing from 0, and of their exponents: r_1 is ``tail + total`` but 0 at
+    the last vector, r_2 is 0 and then climbs from ``tail + 1``."""
+    total, tail, upper, upper_ranks = run
+    size = total + 1
+    return ((range(total, -1, -1), range(size), *[(u,) * size for u in upper]),
+            ((tail + total,) * total + (0,), (0, *range(tail + 1, tail + size)),
+             *[(r,) * size for r in upper_ranks]))
 
 
 def iter_indices(n: int, cap: int) -> Iterator[MultiIndex]:

@@ -25,6 +25,9 @@ points as :func:`wmfock.fock.iter_ranked_indices` walks the indices with
 their exponents, which are the ranks, then the boundary points, whose
 tails' exponents come from the same walk.  The emitters read each point
 once and keep only the strings they join, so no list of points is held.
+An unstarted stream for the emitter's configuration, where a run of
+:func:`wmfock.fock.iter_ranked_blocks` holds six points or more on average
+(``max_degree >= 5 * n``), gives up its interior as runs; no point is built.
 
 Emission works on ranks, and each emitter takes the configuration and
 prepares the texts of its table once per call.  The CSV emitter renders
@@ -48,11 +51,12 @@ from collections import namedtuple
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from math import lcm
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .fock import MultiIndex, Tally, indices_up_to, iter_ranked_indices
+from .fock import (Block, MultiIndex, Tally, indices_up_to, iter_ranked_blocks, iter_ranked_indices,
+                   run_columns)
 from .sparse import frac_str
 from .words import ProductResult, precedes, projection_product
 
@@ -186,15 +190,41 @@ def boundary_points(cfg: SpectrumConfig) -> List[SpectrumPoint]:
             for ranks, patterns in sorted(by_ranks.items())]
 
 
-def enumerate_spectrum(cfg: SpectrumConfig) -> Iterator[SpectrumPoint]:
+class SpectrumStream:
+    """The one-shot iterator of :func:`enumerate_spectrum`."""
+
+    __slots__ = ("cfg", "started", "_rest")
+
+    def __init__(self, cfg: SpectrumConfig) -> None:
+        self.cfg, self.started = cfg, False  # the boundary is built when it is reached
+        self._rest = chain.from_iterable(part(cfg) for part in (interior_points, boundary_points))
+
+    def __iter__(self) -> "SpectrumStream":
+        return self
+
+    def __next__(self) -> SpectrumPoint:
+        self.started = True
+        return next(self._rest)
+
+    def split(self, cfg: SpectrumConfig) -> Tuple[Iterable[Block], Iterator[SpectrumPoint]]:
+        """The rest as ``(runs, points)``, leaving the stream exhausted; no run
+        if a point was read, ``cfg`` differs, or a run holds under six points
+        on average (``(max_degree + n) / n``), where its setup outweighs them."""
+        runs, rest = (), self._rest
+        if not self.started and self.cfg == cfg and cfg.max_degree >= 5 * cfg.n:
+            runs, rest = iter_ranked_blocks(cfg.n, cfg.max_degree), iter(boundary_points(cfg))
+        self.started, self._rest = True, iter(())
+        return runs, rest
+
+
+def enumerate_spectrum(cfg: SpectrumConfig) -> SpectrumStream:
     """Interior points in graded index order, then boundary points by coords.
 
     A one-shot stream: each interior point is made when it is asked for, so
     no list of them is held; the boundary points, a small set that must be
     grouped and sorted, are built when the interior is exhausted.
     """
-    yield from interior_points(cfg)
-    yield from boundary_points(cfg)
+    return SpectrumStream(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +392,7 @@ def emit_csv(points: Iterable[SpectrumPoint], cfg: SpectrumConfig) -> str:
     letters, the exact field of ``ranks[0]``, those of ``ranks[1:]`` keyed
     by that slice, and the same two for the decimals; keyed pieces are
     memoised by value for this call.  Other rows add their provenance string.
+    A stream's interior may be rendered run by run: :meth:`SpectrumStream.split`.
     """
     header = ["kind", "provenance"]
     header.extend("x%d" % k for k in range(1, cfg.n + 1))
@@ -375,6 +406,13 @@ def emit_csv(points: Iterable[SpectrumPoint], cfg: SpectrumConfig) -> str:
     uppers = _Memo(lambda upper: (";%d" * len(upper) + ")") % upper)
     fragments = [",".join(header)]
     extend = fragments.extend
+    runs, points = points.split(cfg) if isinstance(points, SpectrumStream) else ((), points)
+    for run in runs:
+        (a, *rest), (r_1, *tails) = run_columns(run)
+        extend(chain.from_iterable(zip(
+            map(heads.__getitem__, a), map(uppers.__getitem__, zip(*rest)),
+            map(exact.__getitem__, r_1), map(exact_tails.__getitem__, zip(*tails)),
+            map(dec.__getitem__, r_1), map(dec_tails.__getitem__, zip(*tails)))))
     for point in points:
         ranks, kind, provenance = point
         if kind == INTERIOR and len(provenance) == 1:
@@ -454,6 +492,7 @@ def emit_svg(points: Iterable[SpectrumPoint], cfg: SpectrumConfig) -> str:
     the x axis reads, through the title's kind by those the y axis reads,
     and its index as in a CSV row (``"(a"``, ``";b;...)"`` and the closing
     tags), or its provenance string and the closing tags for several indices.
+    A stream's interior may be rendered run by run: :meth:`SpectrumStream.split`.
     """
     n = cfg.n
     if n not in (2, 3):
@@ -483,6 +522,12 @@ def emit_svg(points: Iterable[SpectrumPoint], cfg: SpectrumConfig) -> str:
     uppers = _Memo(lambda upper: (";%d" * len(upper) + ")</title></circle>") % upper)
     fragments = ["\n".join(lines)]
     extend = fragments.extend
+    runs, points = points.split(cfg) if isinstance(points, SpectrumStream) else ((), points)
+    for run in runs:
+        (a, *rest), ranks = run_columns(run)
+        extend(chain.from_iterable(zip(
+            map(dots_x.__getitem__, zip(*ranks[:n - 1])), map(dots_y.__getitem__, zip(*ranks[1:])),
+            map(heads.__getitem__, a), map(uppers.__getitem__, zip(*rest)))))
     for point in points:
         ranks, kind, provenance = point
         xs, ys = ranks[:n - 1], ranks[1:]

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from wmfock.fock import (Tally, TruncationParams, basis_index, check_guarded_identity,
                          column_map, enumerate_basis, indices_up_to, iter_indices,
-                         iter_ranked_indices)
+                         iter_ranked_blocks, iter_ranked_indices, run_columns)
 from wmfock.sparse import PhaseMatrix, SparseOp, frac_str
 from wmfock.spectrum import r_value
 from wmfock.words import GeneratorSymbol, creation_guard, evaluate_word, parse_word
@@ -52,6 +52,30 @@ def test_ranked_walk_follows_the_reference_order(n):
         assert list(iter_indices(n, cap)) == indices_up_to(n, cap) == reference_indices(n, cap)
         if n >= 2 and cap >= 1:
             assert list(enumerate_basis(TruncationParams(n, cap))) == reference_indices(n, cap)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_ranked_runs_expand_to_the_walk(n):
+    # each run spelled out here, letter 2 climbing from 0 (n = 1: one vector),
+    # with its exponents from r_value rather than from the run; for n >= 2,
+    # run_columns must give the same rows
+    for cap in range(9):
+        expanded = []
+        for run in iter_ranked_blocks(n, cap):
+            total, tail, upper, upper_ranks = run
+            assert len(upper) == max(n - 2, 0) and tail == sum(upper)
+            rows = []
+            for top in range(total + 1 if n > 1 else 1):
+                mu = ((total - top, top) + upper)[:n]
+                ranks = tuple(r_value(mu, k) for k in range(1, n + 1))
+                assert ranks[2:] == upper_ranks
+                rows.append((mu, ranks))
+            if n > 1:
+                letters, ranks = run_columns(run)
+                assert list(zip(zip(*letters), zip(*ranks))) == rows
+            expanded.extend(rows)
+        assert expanded == list(iter_ranked_indices(n, cap))
+        assert [mu for mu, _ in expanded] == reference_indices(n, cap)
 
 
 def test_basis_count_small():

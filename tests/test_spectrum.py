@@ -598,6 +598,10 @@ def _check_against_references(cfg):
         assert emit_csv(order, cfg) == _csv_reference(order, cfg)
         if cfg.n <= 3:
             assert emit_svg(order, cfg) == _svg_reference(order, cfg)
+    # a fresh stream: its interior takes the run path where max_degree >= 5 n
+    assert emit_csv(enumerate_spectrum(cfg), cfg) == _csv_reference(points, cfg)
+    if cfg.n <= 3:
+        assert emit_svg(enumerate_spectrum(cfg), cfg) == _svg_reference(points, cfg)
 
 
 @pytest.mark.parametrize("n,degree", [(2, 12), (3, 10), (4, 6)])
@@ -613,63 +617,97 @@ def test_interior_stream_follows_the_basis_order(n, degree):
     assert [p.coords(values) for p in points] == [embed(mu, cfg.c) for mu in basis]
 
 
-@pytest.mark.parametrize("n,degree", [(2, 12), (3, 10)])
-def test_emitters_read_a_one_shot_stream(n, degree):
+def _count_run_walks(monkeypatch):
+    """The (n, cap) of every run walk a stream hands to an emitter."""
+    walks, walk = [], spectrum.iter_ranked_blocks
+    monkeypatch.setattr(spectrum, "iter_ranked_blocks",
+                        lambda n, cap: walks.append((n, cap)) or walk(n, cap))
+    return walks
+
+
+# (2, 10) and (3, 15): the shortest runs that take the run path, six points
+# each on average; (3, 10) has four and takes the point loop
+@pytest.mark.parametrize("n,degree", [(2, 12), (3, 10), (2, 10), (3, 15)])
+def test_emitters_read_a_one_shot_stream(n, degree, monkeypatch):
     cfg = SpectrumConfig(n, degree, Fraction(3, 7))
     points = list(enumerate_spectrum(cfg))
+    walks = _count_run_walks(monkeypatch)
     for emit in (emit_csv, emit_svg):
         stream = enumerate_spectrum(cfg)
         assert iter(stream) is stream and not isinstance(stream, (list, tuple))
         assert emit(stream, cfg) == emit(points, cfg)
         assert next(stream, None) is None  # read through, once
+    assert walks == ([(n, degree)] * 2 if degree >= 5 * n else [])
+
+
+@pytest.mark.parametrize("emit", [emit_csv, emit_svg])
+def test_emitters_fall_back_to_the_point_loop(emit, monkeypatch):
+    cfg = SpectrumConfig(3, 16, Fraction(3, 7))  # a fresh stream takes the run path
+    points = list(enumerate_spectrum(cfg))
+    walks = _count_run_walks(monkeypatch)
+    # a stream already advanced by next()
+    advanced = enumerate_spectrum(cfg)
+    assert next(advanced) == points[0]
+    assert emit(advanced, cfg) == emit(points[1:], cfg)
+    assert next(advanced, None) is None
+    # a stream made for another configuration: its own points, on cfg's table
+    for other in (SpectrumConfig(3, 16, Fraction(4, 7)), SpectrumConfig(3, 15, Fraction(3, 7))):
+        assert emit(enumerate_spectrum(other), cfg) == emit(list(enumerate_spectrum(other)), cfg)
+    # a plain generator
+    assert emit((point for point in points), cfg) == emit(points, cfg)
+    # fresh streams whose runs hold under six points on average
+    for short in (SpectrumConfig(2, 9, Fraction(3, 7)), SpectrumConfig(3, 14, Fraction(3, 7))):
+        assert emit(enumerate_spectrum(short), short) == emit(list(enumerate_spectrum(short)), short)
+    assert walks == []
 
 
 @pytest.mark.parametrize("c", [HALF, Fraction(3, 7), Fraction(5, 7)])
-@pytest.mark.parametrize("n,degree", [(2, 12), (3, 10), (4, 6)])  # (4, 6): csv only
+# (3, 15) and (4, 20) take the run path from a fresh stream; n = 4: csv only
+@pytest.mark.parametrize("n,degree", [(2, 12), (3, 10), (4, 6), (3, 15), (4, 20)])
 def test_emitters_match_reference_loops(n, degree, c):
     _check_against_references(SpectrumConfig(n, degree, c))
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.sampled_from([2, 3]), degree=st.integers(1, 8),
-       q=st.integers(2, 40), data=st.data())
-def test_emitters_match_reference_loops_property(n, degree, q, data):
+@given(n=st.sampled_from([2, 3]), q=st.integers(2, 40), data=st.data())
+def test_emitters_match_reference_loops_property(n, q, data):
+    degree = data.draw(st.integers(1, 5 * n + 3))  # both sides of the run path's threshold
     p = data.draw(st.integers(1, q - 1))
     _check_against_references(SpectrumConfig(n, degree, Fraction(p, q)))
 
 
+def _emission_peaks(emit, cfg):
+    """The traced peak of ``emit`` over the text's length, on the run path (a
+    fresh stream) and on the point loop (a generator over one)."""
+    ratios = []
+    for points in (enumerate_spectrum(cfg), (p for p in enumerate_spectrum(cfg))):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            text = emit(points, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ratios.append((peak - start) / len(text))
+    return ratios
+
+
 @pytest.mark.parametrize("emit", [emit_csv, emit_svg])
 def test_emission_holds_the_text_once(emit):
-    # the fragments and the text they join into peak at 2.1-2.8 times the
-    # text on CPython 3.10-3.13; a second whole copy of the text adds 1
-    cfg = SpectrumConfig(3, 30, Fraction(1, 3))
-    points = enumerate_spectrum(cfg)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        text = emit(points, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - start < 3.0 * len(text)
+    # the fragments and the text they join into peak at 1.7-2.3 times the
+    # text on CPython 3.10-3.13, on either path; a second whole copy of the
+    # text adds 1
+    assert max(_emission_peaks(emit, SpectrumConfig(3, 30, Fraction(1, 3)))) < 3.0
 
 
 @pytest.mark.parametrize("emit,bound", [(emit_csv, 1.55), (emit_svg, 2.1)])
 def test_emission_peak_at_the_benchmark_size(emit, bound):
     # an interior point of one index adds no string of its own and takes six
-    # list slots (csv) or four (svg): at (3, 60, 3/7) the peak is 1.41-1.42
-    # and 1.81-1.84 times the text on CPython 3.10-3.13, where a provenance
-    # string and ten or more slots per point gave 1.69-1.73 and 2.52-2.62
-    cfg = SpectrumConfig(3, 60, Fraction(3, 7))
-    points = enumerate_spectrum(cfg)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        text = emit(points, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - start < bound * len(text)
+    # list slots (csv) or four (svg): at (3, 60, 3/7) the peak is 1.44-1.45
+    # and 1.84-1.88 times the text run by run, and 1.38-1.39 and 1.81-1.85
+    # point by point, on CPython 3.10-3.13, where a provenance string and ten
+    # or more slots per point gave 1.69-1.73 and 2.52-2.62
+    assert max(_emission_peaks(emit, SpectrumConfig(3, 60, Fraction(3, 7)))) < bound
 
 
 # SHA-256 of the datasets, recorded before the emitters were memoised and
@@ -697,6 +735,7 @@ GOLDEN_DIGESTS = {
 def test_dataset_golden_digests(n, degree, c):
     cfg = SpectrumConfig(n, degree, c)
     points = list(enumerate_spectrum(cfg))
-    digests = tuple(hashlib.sha256(emit(points, cfg).encode("utf-8")).hexdigest()
-                    for emit in (emit_csv, emit_svg))
-    assert digests == GOLDEN_DIGESTS[(n, degree, c)]
+    for read in (lambda: points, lambda: enumerate_spectrum(cfg)):  # point and run paths
+        digests = tuple(hashlib.sha256(emit(read(), cfg).encode("utf-8")).hexdigest()
+                        for emit in (emit_csv, emit_svg))
+        assert digests == GOLDEN_DIGESTS[(n, degree, c)]
