@@ -14,6 +14,7 @@ import argparse
 import json
 import re
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -87,32 +88,28 @@ def _validate_common(args) -> Optional[str]:
         return "--n must be at least 2"
     if args.max_degree < 1:
         return "--max-degree must be at least 1"
-    c = getattr(args, "c", None)
-    if c is not None and not (Fraction(0) < c < Fraction(1)):
-        return "--c must lie strictly between 0 and 1"
+    try:
+        if getattr(args, "c", None) is not None:
+            SpectrumConfig(args.n, args.max_degree, args.c)  # the one check of 0 < c < 1
+    except ValueError as exc:
+        return "--%s" % exc
     return None
 
 
-_WRITE_SLICE = 1 << 20  # characters handed to the encoder per write
+_WRITE_SLICE = 1 << 16  # characters handed to the encoder per write: 64 KiB
 
 
 def _write_output(text: str, path: Optional[str]) -> None:
     """Write ``text`` to ``path``, or to stdout when ``path`` is None.
 
     The text goes out in slices of at most ``_WRITE_SLICE`` characters, so
-    the encoder never holds a second copy of a whole dataset.  A slice ends
+    only one slice and its encoding are held beside it.  A slice ends
     between code points, so the bytes are those of one whole-text write.
     """
-    if path is None:
-        _write_slices(sys.stdout, text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            _write_slices(handle, text)
-
-
-def _write_slices(handle, text: str) -> None:
-    for start in range(0, len(text), _WRITE_SLICE):
-        handle.write(text[start:start + _WRITE_SLICE])
+    with nullcontext(sys.stdout) if path is None else \
+            open(path, "w", encoding="utf-8", newline="") as handle:
+        for start in range(0, len(text), _WRITE_SLICE):
+            handle.write(text[start:start + _WRITE_SLICE])
 
 
 def _cmd_verify(args) -> int:

@@ -30,13 +30,15 @@ share cache entries.  Each gauge unitary is built, and checked unitary,
 once per ``(rep, w mod K, variant)`` in a bounded cache, and keeps the
 adjoint that check built; covariance and group-law checks that ask for it
 again get the same object, a tuple compared by identity.  The annihilator
-maps and the unitaries with their adjoints read every image entry from the
-bundle's one position tuple, so they hold no position ints of their own.
+maps and the unitaries with their adjoints read every image entry from one
+position tuple per bundle size, so they hold no position ints of their own;
+maps built while a size stays among the 8 last asked for share its tuple.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from collections import namedtuple
+from functools import lru_cache
 from operator import itemgetter
 from typing import List, NamedTuple, Tuple
 
@@ -48,32 +50,15 @@ BLOCK_SHIFT_UNITARY = "shift"
 _VARIANTS = (PAPER_UNITARY, BLOCK_SHIFT_UNITARY)
 
 
-class BundleRep:
+class BundleRep(namedtuple("BundleRep", "params roots")):
     """Direct sum of K Fock blocks; block s carries the sample exp(2 pi i s/K)."""
 
-    def __init__(self, params: TruncationParams, roots: int) -> None:
+    __slots__ = ()
+
+    def __new__(cls, params: TruncationParams, roots: int) -> "BundleRep":
         if roots < 1:
             raise ValueError("need at least one circle sample")
-        self.__dict__.update(params=params, roots=roots)
-
-    def __setattr__(self, name: str, value=None) -> None:
-        raise AttributeError("cannot assign to field %r" % name)
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.params, self.roots) == (other.params, other.roots)
-
-    def __hash__(self) -> int:
-        return hash((self.params, self.roots))
-
-    def __repr__(self) -> str:
-        return "BundleRep(params=%r, roots=%r)" % (self.params, self.roots)
-
-    def __reduce__(self):
-        return BundleRep, (self.params, self.roots)
+        return tuple.__new__(cls, (params, roots))
 
     @property
     def block_size(self) -> int:
@@ -83,10 +68,11 @@ class BundleRep:
     def dim(self) -> int:
         return self.roots * self.block_size
 
-    @cached_property
+    @property
     def positions(self) -> Tuple[int, ...]:
-        """``0 .. dim - 1`` once per bundle, shared by its gauge unitaries."""
-        return tuple(range(self.dim))
+        """``0 .. dim - 1``: one tuple per ``dim`` while it is among the 8
+        sizes last asked for, so gauge maps built meanwhile share it."""
+        return _positions(self.dim)
 
     def position(self, sample: int, basis_pos: int) -> int:
         return sample * self.block_size + basis_pos
@@ -96,6 +82,11 @@ class BundleRep:
 
     def vacuum_positions(self) -> List[int]:
         return [self.position(s, 0) for s in range(self.roots)]
+
+
+@lru_cache(maxsize=8)  # the default gauge suite asks for 4 sizes, one per K
+def _positions(dim: int) -> Tuple[int, ...]:
+    return tuple(range(dim))
 
 
 def build_bundle(params: TruncationParams, roots: int) -> BundleRep:

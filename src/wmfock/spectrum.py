@@ -37,12 +37,12 @@ SVG emitter writes the table over one common denominator
 (``q**max_degree`` for ``c = p/q``) and computes each pixel as an integer
 ratio, rounded to two decimals half to even and memoised on the rank tuple
 its axis reads; the frame's corners are ranks into the table ``(0, 1)``.
-Each emitter joins its text once from shared fragments, closing newline
-included, so no row string and no second copy of the text is built.  An
-interior point of one index adds no string of its own: its row or dot is a
-few pieces memoised by value for the length of one emitter call, keyed by
-its first letter, its upper letters and slices of its own ranks.  Both
-outputs are byte-deterministic.
+Each emitter grows its text in place by one join of a bounded batch of
+shared fragments at a time, so no row string, list of every fragment or
+second copy of the text is built.  An interior point of one index adds no string of its
+own: its row or dot is a few pieces memoised by value for the length of one
+emitter call, keyed by its first letter, its upper letters and slices of
+its own ranks.  Both outputs are byte-deterministic.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from collections import namedtuple
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain, islice, product
 from math import lcm
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -385,13 +385,13 @@ def emit_csv(points: Iterable[SpectrumPoint], cfg: SpectrumConfig) -> str:
     """The dataset as CSV: a header, then one row per point.
 
     ``points`` is read once, so a stream such as :func:`enumerate_spectrum`
-    is never held whole.  The text is one join over shared fragments ending
-    in the closing newline, so no row string is built and the text is never
-    copied whole.  An interior point of one index ``(a;b;...)`` is six
-    pieces: ``"\\ninterior,(a"`` keyed by ``a``, ``";b;...)"`` by the upper
-    letters, the exact field of ``ranks[0]``, those of ``ranks[1:]`` keyed
-    by that slice, and the same two for the decimals; keyed pieces are
-    memoised by value for this call.  Other rows add their provenance string.
+    is never held whole.  The text, closing newline included, grows in place
+    in :func:`_joined`, so no row string or second copy of it is built.  An
+    interior point of one index ``(a;b;...)`` is six pieces:
+    ``"\\ninterior,(a"`` keyed by ``a``, ``";b;...)"`` by the upper letters,
+    the exact field of ``ranks[0]``, those of ``ranks[1:]`` keyed by that
+    slice, and the same two for the decimals; keyed pieces are memoised by
+    value for this call.  Other rows add their provenance string.
     A stream's interior may be rendered run by run: :meth:`SpectrumStream.split`.
     """
     header = ["kind", "provenance"]
@@ -404,27 +404,51 @@ def emit_csv(points: Iterable[SpectrumPoint], cfg: SpectrumConfig) -> str:
     dec_tails = _Memo(lambda upper: "".join(map(dec.__getitem__, upper)))
     heads = _Memo("\ninterior,(%d".__mod__)
     uppers = _Memo(lambda upper: (";%d" * len(upper) + ")") % upper)
-    fragments = [",".join(header)]
-    extend = fragments.extend
-    runs, points = points.split(cfg) if isinstance(points, SpectrumStream) else ((), points)
-    for run in runs:
+
+    def run_rows(run: Block) -> Iterator[str]:
         (a, *rest), (r_1, *tails) = run_columns(run)
-        extend(chain.from_iterable(zip(
+        return chain.from_iterable(zip(
             map(heads.__getitem__, a), map(uppers.__getitem__, zip(*rest)),
             map(exact.__getitem__, r_1), map(exact_tails.__getitem__, zip(*tails)),
-            map(dec.__getitem__, r_1), map(dec_tails.__getitem__, zip(*tails)))))
-    for point in points:
-        ranks, kind, provenance = point
-        if kind == INTERIOR and len(provenance) == 1:
-            mu, upper = provenance[0], ranks[1:]
-            extend((heads[mu[0]], uppers[mu[1:]], exact[ranks[0]], exact_tails[upper],
-                    dec[ranks[0]], dec_tails[upper]))
-        else:
-            extend(("\n", kind, ",", point_provenance(point)))
-            extend(map(exact.__getitem__, ranks))
-            extend(map(dec.__getitem__, ranks))
-    fragments.append("\n")
-    return "".join(fragments)
+            map(dec.__getitem__, r_1), map(dec_tails.__getitem__, zip(*tails))))
+
+    def point_rows(points: List[SpectrumPoint]) -> List[str]:
+        fragments: List[str] = []
+        extend = fragments.extend
+        for point in points:
+            ranks, kind, provenance = point
+            if kind == INTERIOR and len(provenance) == 1:
+                mu, upper = provenance[0], ranks[1:]
+                extend((heads[mu[0]], uppers[mu[1:]], exact[ranks[0]], exact_tails[upper],
+                        dec[ranks[0]], dec_tails[upper]))
+            else:
+                extend(("\n", kind, ",", point_provenance(point),
+                        *map(exact.__getitem__, ranks), *map(dec.__getitem__, ranks)))
+        return fragments
+
+    return _joined(",".join(header), run_rows, point_rows, points, cfg, "\n")
+
+
+_BATCH = 2048  # fragments per append: the 8.8 MB CSV text at (3, 60) grows in 122 steps
+_CHUNK = _BATCH // 16  # points per call of a point renderer, which loops over them inline
+
+
+def _joined(head: str, run_rows: Callable, point_rows: Callable,
+            points: Iterable[SpectrumPoint], cfg: SpectrumConfig, tail: str) -> str:
+    """``head``, the fragments of each run and of every ``_CHUNK`` points, and
+    ``tail`` as one text, grown at its one site by a join of ``_BATCH`` or
+    more fragments.  Nothing else holds the text, so CPython resizes it in
+    place there (on 3.11+ once the site is specialised; a large block grows
+    by ``mremap``): no fragment list or second copy is held."""
+    runs, points = points.split(cfg) if isinstance(points, SpectrumStream) else ((), iter(points))
+    chunks = iter(lambda: list(islice(points, _CHUNK)), [])
+    text, batch, last = "", [head], (tail,)
+    for group in chain(map(run_rows, runs), map(point_rows, chunks), (last,)):
+        batch += group
+        if len(batch) >= _BATCH or group is last:
+            text += "".join(batch)
+            batch = []
+    return text
 
 
 _SVG_SIZE = 760
@@ -487,7 +511,7 @@ def emit_svg(points: Iterable[SpectrumPoint], cfg: SpectrumConfig) -> str:
 
     Interior points are filled dots, boundary points open squares.  Output
     is byte-deterministic for a fixed input order, and ``points`` is read
-    once into one join, as in :func:`emit_csv`.  A dot is four pieces, each
+    once into a text grown as in :func:`emit_csv`.  A dot is four pieces, each
     memoised by value for this call: its markup through ``cx`` by the ranks
     the x axis reads, through the title's kind by those the y axis reads,
     and its index as in a CSV row (``"(a"``, ``";b;...)"`` and the closing
@@ -520,26 +544,29 @@ def emit_svg(points: Iterable[SpectrumPoint], cfg: SpectrumConfig) -> str:
     dots_y = _Memo(lambda ys: '%s" r="4" fill="#c0392b"><title>interior ' % y_texts[ys][0])
     heads = _Memo("(%d".__mod__)
     uppers = _Memo(lambda upper: (";%d" * len(upper) + ")</title></circle>") % upper)
-    fragments = ["\n".join(lines)]
-    extend = fragments.extend
-    runs, points = points.split(cfg) if isinstance(points, SpectrumStream) else ((), points)
-    for run in runs:
+
+    def run_dots(run: Block) -> Iterator[str]:
         (a, *rest), ranks = run_columns(run)
-        extend(chain.from_iterable(zip(
+        return chain.from_iterable(zip(
             map(dots_x.__getitem__, zip(*ranks[:n - 1])), map(dots_y.__getitem__, zip(*ranks[1:])),
-            map(heads.__getitem__, a), map(uppers.__getitem__, zip(*rest)))))
-    for point in points:
-        ranks, kind, provenance = point
-        xs, ys = ranks[:n - 1], ranks[1:]
-        if kind != INTERIOR:
-            extend(('\n<rect x="', x_texts[xs][1], '" y="', y_texts[ys][1],
-                    '" width="8" height="8" fill="none" stroke="#2c3e50" '
-                    'stroke-width="1.5"><title>', kind, " ", point_provenance(point),
-                    "</title></rect>"))
-        elif len(provenance) == 1:
-            mu = provenance[0]
-            extend((dots_x[xs], dots_y[ys], heads[mu[0]], uppers[mu[1:]]))
-        else:
-            extend((dots_x[xs], dots_y[ys], point_provenance(point), "</title></circle>"))
-    fragments.append("\n</svg>\n")
-    return "".join(fragments)
+            map(heads.__getitem__, a), map(uppers.__getitem__, zip(*rest))))
+
+    def point_marks(points: List[SpectrumPoint]) -> List[str]:
+        fragments: List[str] = []
+        extend = fragments.extend
+        for point in points:
+            ranks, kind, provenance = point
+            xs, ys = ranks[:n - 1], ranks[1:]
+            if kind != INTERIOR:
+                extend(('\n<rect x="', x_texts[xs][1], '" y="', y_texts[ys][1],
+                        '" width="8" height="8" fill="none" stroke="#2c3e50" '
+                        'stroke-width="1.5"><title>', kind, " ", point_provenance(point),
+                        "</title></rect>"))
+            elif len(provenance) == 1:
+                mu = provenance[0]
+                extend((dots_x[xs], dots_y[ys], heads[mu[0]], uppers[mu[1:]]))
+            else:
+                extend((dots_x[xs], dots_y[ys], point_provenance(point), "</title></circle>"))
+        return fragments
+
+    return _joined("\n".join(lines), run_dots, point_marks, points, cfg, "\n</svg>\n")

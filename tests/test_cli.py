@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -204,3 +205,21 @@ def test_write_output_slices_keep_the_utf8_bytes(tmp_path, capsysbinary, monkeyp
     cli._write_output(text, None)
     assert "".join(recorder.parts) == text
     assert max(map(len, recorder.parts)) == size
+
+
+def test_write_output_holds_one_slice_beside_the_text(tmp_path):
+    # an ASCII slice and its encoding take about 2.1 slices on CPython
+    # 3.10-3.13; one whole-text write would take 12
+    size = cli._WRITE_SLICE
+    assert size <= 1 << 16
+    text = "a" * (6 * size + 5)
+    path = tmp_path / "out.txt"
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        cli._write_output(text, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_text(encoding="utf-8") == text
+    assert peak - start < 3 * size
