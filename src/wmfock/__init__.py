@@ -9,9 +9,8 @@ rule validated against a brute-force matrix oracle, all arithmetic exact.
 
 from .fock import (MultiIndex, Tally, TruncationParams, check_guarded_identity,
                    enumerate_basis)
-from .gauge import (BLOCK_SHIFT_UNITARY, PAPER_UNITARY, BundleRep, build_bundle,
-                    check_covariance, check_quotient_relation, gauge_unitary,
-                    vacuum_operator_spectrum)
+from .gauge import (BLOCK_SHIFT_UNITARY, PAPER_UNITARY, BundleRep, check_covariance,
+                    check_quotient_relation, gauge_unitary, vacuum_operator_spectrum)
 from .masa import expectation, expectation_of_monomial, rank_one_projection
 from .sparse import PhaseMatrix, SparseOp, frac_str
 from .spectrum import (FunctionalKey, SpectrumConfig, SpectrumPoint, embed,
@@ -28,7 +27,7 @@ __all__ = [
     "GeneratorSymbol", "MultiIndex", "NormalForm", "NormalMonomial",
     "PAPER_UNITARY", "PhaseMatrix", "ProductResult", "SparseOp",
     "SpectrumConfig", "SpectrumPoint", "Tally", "TruncationParams", "Word",
-    "build_bundle", "check_covariance", "check_guarded_identity",
+    "check_covariance", "check_guarded_identity",
     "check_quotient_relation", "creation_guard", "embed", "emit_csv",
     "emit_svg", "enumerate_basis", "enumerate_spectrum", "evaluate",
     "evaluate_word", "expectation", "expectation_of_monomial", "frac_str",

@@ -139,15 +139,14 @@ def _cmd_spectrum(args) -> int:
 def _cmd_gauge(args) -> int:
     report = suites.gauge_suite(args.n, args.max_degree, (args.roots,))
     params = TruncationParams(args.n, args.max_degree)
-    rep = gauge_mod.build_bundle(params, args.roots)
+    rep = gauge_mod.BundleRep(params, args.roots)
     variant = (gauge_mod.PAPER_UNITARY if args.unitary == "paper"
                else gauge_mod.BLOCK_SHIFT_UNITARY)
     details = []
     for i in range(args.n + 1):
         for w in range(args.roots):
-            verdict = gauge_mod.check_covariance(rep, i, w, variant)
-            details.append({"i": i, "w": w, "ok": verdict.ok,
-                            "failingEntries": verdict.failures})
+            failures = gauge_mod.check_covariance(rep, i, w, variant)
+            details.append({"i": i, "w": w, "ok": not failures, "failingEntries": failures})
     report["unitary"] = args.unitary
     report["covarianceDetails"] = details
     report["vacuumSpectrum"] = gauge_mod.vacuum_operator_spectrum(rep)

@@ -66,10 +66,6 @@ class TruncationParams(namedtuple("TruncationParams", "n max_degree")):
         return comb(d + self.n, self.n)
 
 
-def degree(mu: MultiIndex) -> int:
-    return sum(mu)
-
-
 def top_letter(mu: MultiIndex) -> int:
     """Largest letter present (1-based); 0 for the vacuum."""
     for j in range(len(mu), 0, -1):
@@ -136,20 +132,15 @@ def run_columns(run: Block) -> Tuple[Tuple[Sequence[int], ...], Tuple[Sequence[i
              *[(r,) * size for r in upper_ranks]))
 
 
-def iter_indices(n: int, cap: int) -> Iterator[MultiIndex]:
-    """The count vectors of :func:`iter_ranked_indices`, one at a time."""
-    return (mu for mu, _ in iter_ranked_indices(n, cap))
-
-
 def indices_up_to(n: int, cap: int) -> List[MultiIndex]:
     """All count vectors over ``n`` letters of degree ``<= cap``, graded."""
-    return list(iter_indices(n, cap))
+    return [mu for mu, _ in iter_ranked_indices(n, cap)]
 
 
 @lru_cache(maxsize=None)
 def enumerate_basis(params: TruncationParams) -> Tuple[MultiIndex, ...]:
     """All count vectors of degree ``<= max_degree`` in graded order."""
-    return tuple(iter_indices(params.n, params.max_degree))
+    return tuple(mu for mu, _ in iter_ranked_indices(params.n, params.max_degree))
 
 
 @lru_cache(maxsize=None)
@@ -159,7 +150,7 @@ def basis_index(params: TruncationParams) -> Dict[MultiIndex, int]:
 
 @lru_cache(maxsize=None)
 def basis_degrees(params: TruncationParams) -> Tuple[int, ...]:
-    return tuple(degree(mu) for mu in enumerate_basis(params))
+    return tuple(map(sum, enumerate_basis(params)))
 
 
 @lru_cache(maxsize=None)
@@ -184,7 +175,7 @@ def column_map(params: TruncationParams, index: int, starred: bool) -> PhaseMatr
     for pos, mu in enumerate(basis):
         if starred:
             # add e_index on top: legal iff no larger letter is present
-            if top_letter(mu) <= index and degree(mu) + 1 <= params.max_degree:
+            if top_letter(mu) <= index and sum(mu) + 1 <= params.max_degree:
                 img = mu[: index - 1] + (mu[index - 1] + 1,) + mu[index:]
                 out[pos] = lookup[img]
         else:

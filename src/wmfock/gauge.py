@@ -16,7 +16,7 @@ Covariance U b_i U* = w b_i holds exactly for the ``shift`` variant on all
 generators.  The ``paper`` variant intertwines the vacuum generator but
 mismatches the annihilators exactly on their degree-one-to-vacuum matrix
 elements (the image vacuum lands in the shifted block); those deviations
-are reported entry by entry rather than repaired silently.
+are the entries :func:`check_covariance` lists, not repaired silently.
 
 Every operator here is a :class:`~wmfock.sparse.PhaseMatrix`, the one
 column-stored kernel for monomial operators: each column holds at most one
@@ -87,10 +87,6 @@ class BundleRep(namedtuple("BundleRep", "params roots")):
 @lru_cache(maxsize=8)  # the default gauge suite asks for 4 sizes, one per K
 def _positions(dim: int) -> Tuple[int, ...]:
     return tuple(range(dim))
-
-
-def build_bundle(params: TruncationParams, roots: int) -> BundleRep:
-    return BundleRep(params, roots)
 
 
 @lru_cache(maxsize=None)
@@ -174,13 +170,9 @@ def _build_unitary(rep: BundleRep, w: int, variant: str) -> GaugeUnitary:
     return GaugeUnitary(variant, w, matrix, adjoint)
 
 
-class CovarianceResult(NamedTuple):
-    ok: bool
-    failures: List[dict]
-
-
-def check_covariance(rep: BundleRep, index: int, w: int, variant: str) -> CovarianceResult:
-    """Compare U b_i U* against w b_i entry by entry, exactly."""
+def check_covariance(rep: BundleRep, index: int, w: int, variant: str) -> List[dict]:
+    """Compare U b_i U* against w b_i entry by entry, exactly: the entries
+    that differ, none where covariance holds."""
     unitary = gauge_unitary(rep, w, variant)
     beta = bundle_operator(rep, index)
     lhs = unitary.matrix @ beta @ unitary.adjoint
@@ -194,7 +186,7 @@ def check_covariance(rep: BundleRep, index: int, w: int, variant: str) -> Covari
             "basisRow": row_pos, "basisCol": col_pos,
             "gotExponent": got, "wantExponent": want,
         })
-    return CovarianceResult(ok=not failures, failures=failures)
+    return failures
 
 
 def check_group_law(rep: BundleRep, variant: str) -> Tuple[int, Tally]:

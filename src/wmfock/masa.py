@@ -44,7 +44,7 @@ def expectation_of_monomial(monomial: NormalMonomial) -> NormalForm:
     """
     if monomial.is_diagonal:
         return NormalForm.of(monomial)
-    return NormalForm.zero()
+    return NormalForm()
 
 
 def rank_one_projection(mu: MultiIndex, n: int) -> NormalForm:

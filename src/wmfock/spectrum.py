@@ -23,8 +23,10 @@ a configuration validates in ``__new__`` and keeps ``c`` as a Fraction.
 The dataset is a stream.  :func:`enumerate_spectrum` yields the interior
 points as :func:`wmfock.fock.iter_ranked_indices` walks the indices with
 their exponents, which are the ranks, then the boundary points, whose
-tails' exponents come from the same walk.  The emitters read each point
-once and keep only the strings they join, so no list of points is held.
+tails' exponents come from the same walk; one pattern walk gives their
+ranks to the dataset and to :func:`boundary_convergence_report` alike.
+The emitters read each point once and keep only the strings they join,
+so no list of points is held.
 An unstarted stream for the emitter's configuration, where a run of
 :func:`wmfock.fock.iter_ranked_blocks` holds six points or more on average
 (``max_degree >= 5 * n``), gives up its interior as runs; no point is built.
@@ -126,7 +128,8 @@ def embed(mu: MultiIndex, c: Fraction) -> Tuple[Fraction, ...]:
 
 
 def _ranked_patterns(cfg: SpectrumConfig) -> Iterator[Tuple[BoundaryPattern, Tuple[int, ...]]]:
-    """Each boundary pattern and its point's ranks, the tail's from the ranked walk."""
+    """Each boundary pattern, by pivot, bits and tail, with its point's ranks:
+    the bits (0 or 1) below the pivot, 1 at it, the tail's exponents above."""
     n, top = cfg.n, cfg.max_degree + 1
     for pivot in range(1, n + 1):
         tails = list(iter_ranked_indices(n - pivot, cfg.max_degree)) if pivot < n else [((), ())]
@@ -135,10 +138,6 @@ def _ranked_patterns(cfg: SpectrumConfig) -> Iterator[Tuple[BoundaryPattern, Tup
             head = tuple(b * top for b in bits) + (top,)
             for tail, tail_ranks in tails:
                 yield BoundaryPattern(pivot, bits, tail), head + tail_ranks
-
-
-def boundary_patterns(cfg: SpectrumConfig) -> List[BoundaryPattern]:
-    return [pattern for pattern, _ in _ranked_patterns(cfg)]
 
 
 @lru_cache(maxsize=8)
@@ -157,15 +156,6 @@ def coordinate_values(cfg: SpectrumConfig) -> Tuple[Fraction, ...]:
         values.append(1 - power)
     values.append(Fraction(1))
     return tuple(values)
-
-
-def boundary_ranks(pattern: BoundaryPattern, cfg: SpectrumConfig) -> Tuple[int, ...]:
-    """Coordinate ranks of a pattern's boundary point: its bits below the
-    pivot (0 or 1), 1 at the pivot, and ``1 - c**r_j`` above it."""
-    top = cfg.max_degree + 1
-    padded = (0,) * pattern.pivot + pattern.tail
-    return (tuple(b * top for b in pattern.bits) + (top,)
-            + tuple(r_value(padded, j) for j in range(pattern.pivot + 1, cfg.n + 1)))
 
 
 def interior_points(cfg: SpectrumConfig) -> Iterator[SpectrumPoint]:
@@ -323,21 +313,21 @@ def boundary_convergence_report(cfg: SpectrumConfig) -> Tuple[int, Tally]:
     """Exact check that the approximating families reach their boundary points.
 
     For every boundary pattern and p = 1..P_LIMIT, on the exponents
-    ``r_value(index_at(p), j)``: the slots above the pivot equal the
-    limit's ranks, each bit-0 slot below it is 0, each bit-1 slot climbs
-    strictly with p, and the pivot is exactly ``p + sum(tail)`` (a gap of
-    ``c**(p + sum(tail))`` below its limit 1) and climbs strictly.  Since
-    0 < c < 1, ``1 - c**r`` is strictly increasing in r, so these are the
-    comparisons of the coordinates themselves; the limit rank
+    ``r_value(index_at(p), j)``: the slots above the pivot equal the ranks
+    the pattern walk gives the dataset's point, each bit-0 slot below it is
+    0, each bit-1 slot climbs strictly with p, and the pivot is exactly
+    ``p + sum(tail)`` (a gap of ``c**(p + sum(tail))`` below its limit 1)
+    and climbs strictly.  As ``1 - c**r`` is strictly increasing in r for
+    0 < c < 1, these compare the coordinates; the limit rank
     ``max_degree + 1`` stands for the coordinate 1 and matches no finite
     exponent.  Returns the number of cases and their tally.
     """
     n, top = cfg.n, cfg.max_degree + 1
-    patterns = boundary_patterns(cfg)
+    patterns = list(_ranked_patterns(cfg))
     tally = Tally()
-    for pattern in patterns:
+    for pattern, ranks in patterns:
         k = pattern.pivot
-        limit = boundary_ranks(pattern, cfg)[k:]
+        limit = ranks[k:]
         zeros = [j for j, b in enumerate(pattern.bits) if not b]
         climbing = [j for j, b in enumerate(pattern.bits) if b] + [k - 1]
         base = sum(pattern.tail)

@@ -384,7 +384,7 @@ def masa_suite(n: int, max_degree: int = 6, degree_cap: int = 4,
     complete = Tally()
     for d in range(max_degree):
         total = evaluate(sum((masa.rank_one_projection(mu, n)
-                              for mu in indices_up_to(n, d)), NormalForm.zero()), params)
+                              for mu in indices_up_to(n, d)), NormalForm()), params)
         cutoff = params.degree_prefix(d)
         want = SparseOp(params.basis_size, {(p, p): 1 for p in range(cutoff)})
         if total != want:
@@ -542,29 +542,28 @@ def gauge_suite(n: int, max_degree: int, roots: Optional[Sequence[int]] = None) 
     params = TruncationParams(n, max_degree)
     checks: List[dict] = []
     for K in roots:
-        rep = gauge_mod.build_bundle(params, K)
+        rep = gauge_mod.BundleRep(params, K)
         degrees = basis_degrees(params)
 
         covariance = Tally()
         for i in range(n + 1):
             for w in range(K):
-                verdict = gauge_mod.check_covariance(rep, i, w, gauge_mod.BLOCK_SHIFT_UNITARY)
-                if not verdict.ok:
-                    covariance.fail(lambda: {"i": i, "w": w, "entries": verdict.failures[:4]})
+                failures = gauge_mod.check_covariance(rep, i, w, gauge_mod.BLOCK_SHIFT_UNITARY)
+                if failures:
+                    covariance.fail(lambda: {"i": i, "w": w, "entries": failures[:4]})
         checks.append(_check("shift-unitary-covariance-K%d" % K, (n + 1) * K, covariance))
 
         vacuum = Tally()
         for w in range(K):
-            verdict = gauge_mod.check_covariance(rep, 0, w, gauge_mod.PAPER_UNITARY)
-            if not verdict.ok:
-                vacuum.fail(lambda: {"w": w, "entries": verdict.failures[:4]})
+            failures = gauge_mod.check_covariance(rep, 0, w, gauge_mod.PAPER_UNITARY)
+            if failures:
+                vacuum.fail(lambda: {"w": w, "entries": failures[:4]})
         checks.append(_check("phase-only-unitary-covariance-vacuum-K%d" % K, K, vacuum))
 
         deviations, stray = 0, Tally()
         for i in range(1, n + 1):
             for w in range(K):
-                verdict = gauge_mod.check_covariance(rep, i, w, gauge_mod.PAPER_UNITARY)
-                for entry in verdict.failures:
+                for entry in gauge_mod.check_covariance(rep, i, w, gauge_mod.PAPER_UNITARY):
                     deviations += 1
                     if not (entry["basisRow"] == 0 and degrees[entry["basisCol"]] == 1):
                         stray.fail(lambda: entry)

@@ -210,63 +210,41 @@ class NormalMonomial(namedtuple("NormalMonomial", "creation vacuum annihilation"
         return " ".join(pieces) if pieces else "I"
 
 
-class NormalForm:
-    """A finite linear combination of normal monomials.
+class NormalForm(dict):
+    """A finite linear combination of normal monomials, as a dict from each
+    monomial to its nonzero coefficient.  Rewriting only produces integer
+    coefficients; a rational one passed in by a caller is kept as given."""
 
-    Rewriting only produces integer coefficients; a rational one passed in
-    by a caller is kept as given.
-    """
-
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Optional[Mapping[NormalMonomial, Scalar]] = None):
-        self._terms: Dict[NormalMonomial, Scalar] = (
-            {mono: coeff for mono, coeff in terms.items() if coeff} if terms else {})
-
-    @classmethod
-    def zero(cls) -> "NormalForm":
-        return cls()
+        super().__init__({mono: coeff for mono, coeff in terms.items() if coeff} if terms else ())
 
     @classmethod
     def of(cls, monomial: NormalMonomial, coeff=1) -> "NormalForm":
         return cls({monomial: coeff})
 
-    def items(self):
-        return self._terms.items()
-
     def terms(self) -> List[Tuple[NormalMonomial, Scalar]]:
-        return sorted(self._terms.items(), key=itemgetter(0))
+        return sorted(self.items(), key=itemgetter(0))
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self
 
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NormalForm):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __add__(self, other: "NormalForm") -> "NormalForm":
-        out = dict(self._terms)
-        for mono, coeff in other._terms.items():
+    def __add__(self, other: Mapping[NormalMonomial, Scalar]) -> "NormalForm":
+        out = NormalForm(self)
+        for mono, coeff in other.items():
             acc = out.get(mono, 0) + coeff
             if acc:
                 out[mono] = acc
             else:
                 out.pop(mono, None)
-        result = NormalForm()
-        result._terms = out
-        return result
+        return out
 
     def diagonal_part(self) -> "NormalForm":
-        result = NormalForm()
-        result._terms = {m: c for m, c in self._terms.items() if m.is_diagonal}
-        return result
+        return NormalForm({m: c for m, c in self.items() if m.is_diagonal})
 
     def render(self) -> str:
-        if not self._terms:
+        if not self:
             return "0"
         return " + ".join("%s · %s" % (frac_str(c), m.render()) for m, c in self.terms())
 

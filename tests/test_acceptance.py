@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from wmfock.fock import TruncationParams, basis_degrees
-from wmfock.gauge import (BLOCK_SHIFT_UNITARY, PAPER_UNITARY, build_bundle,
+from wmfock.gauge import (BLOCK_SHIFT_UNITARY, PAPER_UNITARY, BundleRep,
                           check_covariance, check_quotient_relation,
                           vacuum_operator_spectrum)
 from wmfock.masa import expectation, expectation_of_monomial, matrix_rank_one, rank_one_projection
@@ -156,14 +156,14 @@ def test_criterion_8_gauge():
     degrees = basis_degrees(params)
     ok = True
     for roots in (1, 2, 4, 8):
-        rep = build_bundle(params, roots)
+        rep = BundleRep(params, roots)
         for i in range(3):
             for w in range(roots):
-                if not check_covariance(rep, i, w, BLOCK_SHIFT_UNITARY).ok:
+                if check_covariance(rep, i, w, BLOCK_SHIFT_UNITARY):
                     ok = False
         for i in (1, 2):
             for w in range(roots):
-                for entry in check_covariance(rep, i, w, PAPER_UNITARY).failures:
+                for entry in check_covariance(rep, i, w, PAPER_UNITARY):
                     if not (entry["basisRow"] == 0 and degrees[entry["basisCol"]] == 1):
                         ok = False
         spec = vacuum_operator_spectrum(rep)

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from wmfock.fock import (Tally, TruncationParams, basis_index, check_guarded_identity,
-                         column_map, enumerate_basis, indices_up_to, iter_indices,
-                         iter_ranked_blocks, iter_ranked_indices, run_columns)
+                         column_map, enumerate_basis, indices_up_to, iter_ranked_blocks,
+                         iter_ranked_indices, run_columns)
 from wmfock.sparse import PhaseMatrix, SparseOp, frac_str
 from wmfock.spectrum import r_value
 from wmfock.words import GeneratorSymbol, creation_guard, evaluate_word, parse_word
@@ -49,7 +49,7 @@ def test_ranked_walk_follows_the_reference_order(n):
         assert [mu for mu, _ in ranked] == reference_indices(n, cap)
         for mu, ranks in ranked:
             assert ranks == tuple(r_value(mu, k) for k in range(1, n + 1))
-        assert list(iter_indices(n, cap)) == indices_up_to(n, cap) == reference_indices(n, cap)
+        assert indices_up_to(n, cap) == reference_indices(n, cap)
         if n >= 2 and cap >= 1:
             assert list(enumerate_basis(TruncationParams(n, cap))) == reference_indices(n, cap)
 

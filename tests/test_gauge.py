@@ -5,8 +5,7 @@ import pytest
 from wmfock import gauge
 from wmfock.fock import TruncationParams, basis_degrees
 from wmfock.gauge import (BLOCK_SHIFT_UNITARY, PAPER_UNITARY, BundleRep,
-                          PhaseMatrix, build_bundle, bundle_operator,
-                          check_covariance, check_group_law,
+                          PhaseMatrix, bundle_operator, check_covariance, check_group_law,
                           check_quotient_relation, gauge_unitary,
                           vacuum_operator_spectrum)
 
@@ -21,16 +20,16 @@ def test_phase_matrix_product_and_adjoint():
 
 
 def test_bundle_dimensions():
-    rep = build_bundle(TruncationParams(2, 3), 4)
+    rep = BundleRep(TruncationParams(2, 3), 4)
     assert rep.block_size == 10
     assert rep.dim == 40
     assert rep.vacuum_positions() == [0, 10, 20, 30]
-    single = build_bundle(TruncationParams(2, 3), 1)
+    single = BundleRep(TruncationParams(2, 3), 1)
     assert single.dim == 10
 
 
 def test_vacuum_generator_entries():
-    rep = build_bundle(TruncationParams(2, 3), 4)
+    rep = BundleRep(TruncationParams(2, 3), 4)
     beta0 = bundle_operator(rep, 0)
     live = [(col, row, e) for col, (row, e) in enumerate(zip(beta0.image, beta0.phase))
             if row >= 0]
@@ -38,7 +37,7 @@ def test_vacuum_generator_entries():
 
 
 def test_gauge_unitary_is_unitary_and_variants_differ():
-    rep = build_bundle(TruncationParams(2, 3), 8)
+    rep = BundleRep(TruncationParams(2, 3), 8)
     for w in range(8):
         u = gauge_unitary(rep, w, PAPER_UNITARY)
         v = gauge_unitary(rep, w, BLOCK_SHIFT_UNITARY)
@@ -49,7 +48,7 @@ def test_gauge_unitary_is_unitary_and_variants_differ():
 
 
 def test_covariance_reuses_the_adjoint_of_the_cached_unitary(monkeypatch):
-    rep = build_bundle(TruncationParams(2, 3), 4)
+    rep = BundleRep(TruncationParams(2, 3), 4)
     for variant in (PAPER_UNITARY, BLOCK_SHIFT_UNITARY):
         for w in range(4):
             u = gauge_unitary(rep, w, variant)
@@ -68,7 +67,7 @@ def test_covariance_reuses_the_adjoint_of_the_cached_unitary(monkeypatch):
 
 def test_paper_unitary_scales_by_degree_and_shifts_vacua():
     params = TruncationParams(2, 3)
-    rep = build_bundle(params, 4)
+    rep = BundleRep(params, 4)
     u = gauge_unitary(rep, 1, PAPER_UNITARY).matrix
     degrees = basis_degrees(params)
     two = degrees.index(2)
@@ -100,7 +99,7 @@ def gauge_unitary_oracle(rep, w, variant):
 
 @pytest.mark.parametrize("n,max_degree,roots", [(2, 3, 1), (3, 4, 4), (4, 6, 8)])
 def test_gauge_unitary_matches_element_oracle(n, max_degree, roots):
-    rep = build_bundle(TruncationParams(n, max_degree), roots)
+    rep = BundleRep(TruncationParams(n, max_degree), roots)
     for variant in (PAPER_UNITARY, BLOCK_SHIFT_UNITARY):
         for w in range(-roots, 2 * roots):
             unitary = gauge_unitary(rep, w, variant)
@@ -112,26 +111,26 @@ def test_gauge_unitary_matches_element_oracle(n, max_degree, roots):
 @pytest.mark.parametrize("max_degree", [1, 2, 3, 4])
 @pytest.mark.parametrize("roots", [1, 2, 4, 8])
 def test_block_shift_covariance_exhaustive(n, max_degree, roots):
-    rep = build_bundle(TruncationParams(n, max_degree), roots)
+    rep = BundleRep(TruncationParams(n, max_degree), roots)
     for i in range(n + 1):
         for w in range(roots):
-            verdict = check_covariance(rep, i, w, BLOCK_SHIFT_UNITARY)
-            assert verdict.ok, (n, max_degree, roots, i, w)
+            assert check_covariance(rep, i, w, BLOCK_SHIFT_UNITARY) == [], \
+                (n, max_degree, roots, i, w)
 
 
 @pytest.mark.parametrize("roots", [1, 2, 4, 8])
 def test_paper_unitary_deviations_confined(roots):
     params = TruncationParams(2, 3)
-    rep = build_bundle(params, roots)
+    rep = BundleRep(params, roots)
     degrees = basis_degrees(params)
     for w in range(roots):
-        assert check_covariance(rep, 0, w, PAPER_UNITARY).ok
+        assert check_covariance(rep, 0, w, PAPER_UNITARY) == []
     for i in (1, 2):
         for w in range(roots):
-            verdict = check_covariance(rep, i, w, PAPER_UNITARY)
+            failures = check_covariance(rep, i, w, PAPER_UNITARY)
             if w == 0:
-                assert verdict.ok
-            for entry in verdict.failures:
+                assert failures == []
+            for entry in failures:
                 assert entry["basisRow"] == 0
                 assert degrees[entry["basisCol"]] == 1
                 # the image vacuum lands in the shifted block
@@ -140,13 +139,12 @@ def test_paper_unitary_deviations_confined(roots):
 
 
 def test_paper_unitary_actually_deviates():
-    rep = build_bundle(TruncationParams(2, 3), 4)
-    verdict = check_covariance(rep, 1, 1, PAPER_UNITARY)
-    assert not verdict.ok and verdict.failures
+    rep = BundleRep(TruncationParams(2, 3), 4)
+    assert check_covariance(rep, 1, 1, PAPER_UNITARY)
 
 
 def test_group_law():
-    rep = build_bundle(TruncationParams(2, 2), 8)
+    rep = BundleRep(TruncationParams(2, 2), 8)
     for variant in (BLOCK_SHIFT_UNITARY, PAPER_UNITARY):
         _, law = check_group_law(rep, variant)
         assert law.failures == 0
@@ -154,7 +152,7 @@ def test_group_law():
 
 @pytest.mark.parametrize("roots,expected_zeros", [(1, 9), (4, 36)])
 def test_vacuum_spectrum(roots, expected_zeros):
-    rep = build_bundle(TruncationParams(2, 3), roots)
+    rep = BundleRep(TruncationParams(2, 3), roots)
     spec = vacuum_operator_spectrum(rep)
     assert spec["root_exponents"] == list(range(roots))
     assert spec["zero_multiplicity"] == expected_zeros
@@ -166,7 +164,7 @@ def test_vacuum_spectrum(roots, expected_zeros):
 
 @pytest.mark.parametrize("roots", [1, 4])
 def test_quotient_relation(roots):
-    rep = build_bundle(TruncationParams(2, 3), roots)
+    rep = BundleRep(TruncationParams(2, 3), roots)
     verdict = check_quotient_relation(rep)
     assert verdict["ok"]
     assert verdict["difference_entries"] == []
@@ -175,8 +173,8 @@ def test_quotient_relation(roots):
 def test_invalid_inputs():
     params = TruncationParams(2, 3)
     with pytest.raises(ValueError):
-        build_bundle(params, 0)
-    rep = build_bundle(params, 4)
+        BundleRep(params, 0)
+    rep = BundleRep(params, 4)
     with pytest.raises(ValueError):
         bundle_operator(rep, 5)
     with pytest.raises(ValueError):
@@ -184,19 +182,19 @@ def test_invalid_inputs():
 
 
 def test_gauge_unitary_built_once_per_root_class():
-    rep = build_bundle(TruncationParams(2, 3), 4)
+    rep = BundleRep(TruncationParams(2, 3), 4)
     for variant in (PAPER_UNITARY, BLOCK_SHIFT_UNITARY):
         for w in range(4):
             assert gauge_unitary(rep, w + 4, variant) is gauge_unitary(rep, w, variant)
             assert gauge_unitary(rep, w - 4, variant) is gauge_unitary(rep, w, variant)
     # an equal bundle built separately shares the cache entries
-    assert gauge_unitary(build_bundle(TruncationParams(2, 3), 4), 1, PAPER_UNITARY) \
+    assert gauge_unitary(BundleRep(TruncationParams(2, 3), 4), 1, PAPER_UNITARY) \
         is gauge_unitary(rep, 1, PAPER_UNITARY)
 
 
 def test_gauge_unitary_cache_is_bounded_and_skips_bad_variants():
     assert gauge._build_unitary.cache_info().maxsize is not None
-    rep = build_bundle(TruncationParams(2, 3), 4)
+    rep = BundleRep(TruncationParams(2, 3), 4)
     before = gauge._build_unitary.cache_info()
     with pytest.raises(ValueError):
         gauge_unitary(rep, 1, "twisted")
@@ -209,7 +207,7 @@ def test_unitarity_check_runs_on_first_build(monkeypatch):
     monkeypatch.setattr(BundleRep, "positions",
                         property(lambda rep: (-1,) + tuple(range(1, rep.dim))))
     gauge._build_unitary.cache_clear()
-    rep = build_bundle(TruncationParams(2, 2), 3)
+    rep = BundleRep(TruncationParams(2, 2), 3)
     with pytest.raises(AssertionError, match="unitarity"):
         gauge_unitary(rep, 0, BLOCK_SHIFT_UNITARY)
     assert gauge._build_unitary.cache_info().currsize == 0
@@ -221,7 +219,7 @@ def test_gauge_maps_share_the_bundle_positions():
     # entries are left out
     gauge.bundle_operator.cache_clear()
     gauge._build_unitary.cache_clear()
-    rep = build_bundle(TruncationParams(3, 6), 4)
+    rep = BundleRep(TruncationParams(3, 6), 4)
     positions = rep.positions
     assert rep.dim == 336
     maps = [bundle_operator(rep, i) for i in range(1, 4)]

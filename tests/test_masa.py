@@ -118,7 +118,7 @@ def test_diagonal_completeness():
     params = TruncationParams(2, 5)
     for d in range(params.max_degree):
         total = evaluate(sum((rank_one_projection(mu, 2) for mu in indices_up_to(2, d)),
-                             NormalForm.zero()), params)
+                             NormalForm()), params)
         cutoff = params.degree_prefix(d)
         assert total == SparseOp(params.basis_size,
                                  {(p, p): Fraction(1) for p in range(cutoff)})

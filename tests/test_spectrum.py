@@ -14,8 +14,8 @@ from wmfock import spectrum
 from wmfock.spectrum import (BOUNDARY, INTERIOR, P_LIMIT, BoundaryPattern, FunctionalKey,
                              SpectrumConfig, SpectrumPoint, _SVG_DEPTH, _SVG_MARGIN,
                              _SVG_SIZE, _ratio2,
-                             boundary_convergence_report, boundary_patterns,
-                             boundary_points, coordinate_values, decimal15, embed,
+                             boundary_convergence_report, boundary_points,
+                             coordinate_values, decimal15, embed,
                              emit_csv, emit_svg, enumerate_spectrum,
                              functional_apply, interior_points, point_provenance,
                              r_value, render_provenance, verify_multiplicativity)
@@ -126,11 +126,20 @@ def _reference_patterns(cfg):
                          else [()])]
 
 
+def _boundary_ranks(pattern, cfg):
+    """Coordinate ranks of a pattern's boundary point, from ``r_value``: its
+    bits below the pivot (0 or 1), 1 at the pivot, and ``1 - c**r_j`` above."""
+    top = cfg.max_degree + 1
+    padded = (0,) * pattern.pivot + pattern.tail
+    return (tuple(b * top for b in pattern.bits) + (top,)
+            + tuple(r_value(padded, j) for j in range(pattern.pivot + 1, cfg.n + 1)))
+
+
 def _reference_boundary_points(cfg):
-    """The patterns grouped by ``boundary_ranks`` and sorted by ranks."""
+    """The patterns grouped by ``_boundary_ranks`` and sorted by ranks."""
     by_ranks = {}
     for pattern in _reference_patterns(cfg):
-        by_ranks.setdefault(spectrum.boundary_ranks(pattern, cfg), []).append(pattern)
+        by_ranks.setdefault(_boundary_ranks(pattern, cfg), []).append(pattern)
     return [SpectrumPoint(ranks, BOUNDARY, tuple(patterns))
             for ranks, patterns in sorted(by_ranks.items())]
 
@@ -139,13 +148,16 @@ def _reference_boundary_points(cfg):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_boundary_ranks_come_from_the_ranked_walk(n, degree):
     cfg = SpectrumConfig(n, degree, Fraction(2, 5))
+    walk = list(spectrum._ranked_patterns(cfg))
+    for pattern, ranks in walk:
+        assert ranks == _boundary_ranks(pattern, cfg)
+    assert [pattern for pattern, _ in walk] == _reference_patterns(cfg)
     points = boundary_points(cfg)
     for point in points:
         assert point.kind == BOUNDARY
         for pattern in point.provenance:
-            assert point.ranks == spectrum.boundary_ranks(pattern, cfg)
+            assert point.ranks == _boundary_ranks(pattern, cfg)
     assert points == _reference_boundary_points(cfg)
-    assert boundary_patterns(cfg) == _reference_patterns(cfg)
 
 
 def test_boundary_shape_invariants():
@@ -305,7 +317,7 @@ def test_boundary_convergence_exact():
     cfg = SpectrumConfig(2, 3, Fraction(1, 3))
     report = _boundary_report(cfg)
     assert report["failures"] == 0
-    assert report["cases"] == P_LIMIT * len(boundary_patterns(cfg))
+    assert report["cases"] == P_LIMIT * len(_reference_patterns(cfg))
 
 
 def _powers(c, top):
@@ -323,13 +335,13 @@ def _boundary_reference(cfg, p_limit):
     cases = 0
     failures = []
     values = coordinate_values(cfg)
-    patterns = boundary_patterns(cfg)
+    patterns = _reference_patterns(cfg)
     # one power past the largest exponent a family reaches, so that a family
     # one step further out still reads its coordinates
     top = p_limit + 1 + max(sum(pattern.bits) + sum(pattern.tail) for pattern in patterns)
     coordinate = [1 - power for power in _powers(cfg.c, top)]  # by exponent
     for pattern in patterns:
-        target = tuple(values[r] for r in spectrum.boundary_ranks(pattern, cfg))
+        target = tuple(values[r] for r in _boundary_ranks(pattern, cfg))
         k = pattern.pivot
         tail_sum = sum(pattern.tail)
         previous = None

@@ -246,6 +246,22 @@ def test_boundary_limits_catch_a_shifted_pivot(monkeypatch):
     assert set(limits["firstFailure"]) == {"pattern", "p"}
 
 
+def test_boundary_limits_read_the_ranks_of_the_pattern_walk(monkeypatch):
+    # one tail rank of one pattern one higher moves the dataset's point; the
+    # report compares the families with that point, so every member misses it
+    walk, moved = spectrum._ranked_patterns, spectrum.BoundaryPattern(1, (), (0, 2))
+
+    def shifted(cfg):
+        for pattern, ranks in walk(cfg):
+            yield pattern, (ranks[:-1] + (ranks[-1] + 1,) if pattern == moved else ranks)
+
+    monkeypatch.setattr(spectrum, "_ranked_patterns", shifted)
+    report = spectrum_suite(3, 4, Fraction(3, 7))
+    limits = next(c for c in report["checks"] if c["name"] == "boundary-limits-monotone")
+    assert limits["failures"] == spectrum.P_LIMIT
+    assert limits["firstFailure"] == {"pattern": "lim(k=1;eps=();tail=(0;2))", "p": 1}
+
+
 def test_gauge_suite_counts_deviations():
     report = gauge_suite(2, 3, roots=(4,))
     confined = next(c for c in report["checks"]

@@ -179,7 +179,7 @@ def test_normal_form_algebra():
     assert vac.diagonal_part() == vac
     off = NormalForm.of(NormalMonomial((1, 0), False, (0, 1)))
     assert off.diagonal_part().is_zero()
-    assert NormalForm.zero().render() == "0"
+    assert NormalForm().render() == "0"
 
 
 # ---------------------------------------------------------------------------
