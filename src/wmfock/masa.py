@@ -43,7 +43,7 @@ def expectation_of_monomial(monomial: NormalMonomial) -> NormalForm:
     expectation vanishes; diagonal ones are fixed points.
     """
     if monomial.is_diagonal:
-        return NormalForm.of(monomial)
+        return NormalForm({monomial: 1})
     return NormalForm()
 
 
@@ -68,7 +68,7 @@ def rank_one_projection(mu: MultiIndex, n: int) -> NormalForm:
     if any(x < 0 for x in mu):
         raise ValueError("multi-index entries must be nonnegative")
     if not any(mu):
-        return NormalForm.of(NormalMonomial.vacuum_projection(n))
+        return NormalForm({NormalMonomial.vacuum_projection(n): 1})
     pivot = bottom_letter(mu)
     terms: Dict[NormalMonomial, int] = {NormalMonomial.projection(mu): 1}
     for h in range(1, pivot + 1):

@@ -223,22 +223,10 @@ def enumerate_spectrum(cfg: SpectrumConfig) -> SpectrumStream:
 
 
 class FunctionalKey(NamedTuple):
-    """A multiplicative functional: vacuum, identity, or a point functional."""
+    """A multiplicative functional by kind: "vacuum", "identity", or "point" at index ``mu``."""
 
     kind: str
     mu: Optional[MultiIndex] = None
-
-    @classmethod
-    def vacuum(cls) -> "FunctionalKey":
-        return cls("vacuum")
-
-    @classmethod
-    def identity(cls) -> "FunctionalKey":
-        return cls("identity")
-
-    @classmethod
-    def point(cls, mu: MultiIndex) -> "FunctionalKey":
-        return cls("point", tuple(mu))
 
     def render(self) -> str:
         if self.kind == "point":
@@ -280,8 +268,8 @@ def verify_multiplicativity(cfg: SpectrumConfig, degree_cap: int
     if degree_cap > cfg.max_degree:
         raise ValueError("degree cap exceeds max_degree")
     indices = indices_up_to(cfg.n, degree_cap)
-    keys = [FunctionalKey.vacuum(), FunctionalKey.identity()]
-    keys.extend(FunctionalKey.point(mu) for mu in indices)
+    keys = [FunctionalKey("vacuum"), FunctionalKey("identity")]
+    keys.extend(FunctionalKey("point", mu) for mu in indices)
     failures, caveats = Tally(), Tally()
     zero, left = ProductResult.ZERO, ProductResult.LEFT_SURVIVES
     for key in keys:

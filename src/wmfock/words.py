@@ -220,16 +220,6 @@ class NormalForm(dict):
     def __init__(self, terms: Optional[Mapping[NormalMonomial, Scalar]] = None):
         super().__init__({mono: coeff for mono, coeff in terms.items() if coeff} if terms else ())
 
-    @classmethod
-    def of(cls, monomial: NormalMonomial, coeff=1) -> "NormalForm":
-        return cls({monomial: coeff})
-
-    def terms(self) -> List[Tuple[NormalMonomial, Scalar]]:
-        return sorted(self.items(), key=itemgetter(0))
-
-    def is_zero(self) -> bool:
-        return not self
-
     def __add__(self, other: Mapping[NormalMonomial, Scalar]) -> "NormalForm":
         out = NormalForm(self)
         for mono, coeff in other.items():
@@ -246,7 +236,8 @@ class NormalForm(dict):
     def render(self) -> str:
         if not self:
             return "0"
-        return " + ".join("%s · %s" % (frac_str(c), m.render()) for m, c in self.terms())
+        # monomials are unique keys, so sorting the items never compares coefficients
+        return " + ".join("%s · %s" % (frac_str(c), m.render()) for m, c in sorted(self.items()))
 
     def __repr__(self) -> str:
         return "NormalForm(%s)" % self.render()

@@ -187,15 +187,15 @@ def test_enumeration_is_deterministic_and_deduplicated():
 
 
 def test_functional_values():
-    assert functional_apply(FunctionalKey.point((2, 3, 2)), (0, 1, 2)) == 1
-    assert functional_apply(FunctionalKey.point((1, 1)), (1, 1)) == 1
-    assert functional_apply(FunctionalKey.point((1, 1)), (0, 2)) == 0
-    assert functional_apply(FunctionalKey.vacuum(), (1, 0)) == 0
-    assert functional_apply(FunctionalKey.vacuum(), (0, 0), vacuum_flag=True) == 1
-    assert functional_apply(FunctionalKey.vacuum(), (0, 0), vacuum_flag=False) == 0
-    assert functional_apply(FunctionalKey.identity(), (4, 7)) == 1
+    assert functional_apply(FunctionalKey("point", (2, 3, 2)), (0, 1, 2)) == 1
+    assert functional_apply(FunctionalKey("point", (1, 1)), (1, 1)) == 1
+    assert functional_apply(FunctionalKey("point", (1, 1)), (0, 2)) == 0
+    assert functional_apply(FunctionalKey("vacuum"), (1, 0)) == 0
+    assert functional_apply(FunctionalKey("vacuum"), (0, 0), vacuum_flag=True) == 1
+    assert functional_apply(FunctionalKey("vacuum"), (0, 0), vacuum_flag=False) == 0
+    assert functional_apply(FunctionalKey("identity"), (4, 7)) == 1
     with pytest.raises(ValueError):
-        functional_apply(FunctionalKey.point((1, 1)), (1, 1, 1))
+        functional_apply(FunctionalKey("point", (1, 1)), (1, 1, 1))
 
 
 def _multiplicativity_report(cfg, degree_cap):
@@ -225,8 +225,8 @@ def _functional_oracle(key, nu):
 def _multiplicativity_oracle(cfg, degree_cap):
     """The case-by-case triple loop, on the reference order test."""
     indices = indices_up_to(cfg.n, degree_cap)
-    keys = [FunctionalKey.vacuum(), FunctionalKey.identity()]
-    keys.extend(FunctionalKey.point(mu) for mu in indices)
+    keys = [FunctionalKey("vacuum"), FunctionalKey("identity")]
+    keys.extend(FunctionalKey("point", mu) for mu in indices)
     cases = 0
     failures = []
     caveats = 0
@@ -301,7 +301,7 @@ def test_point_functional_agrees_with_product_rule(n):
     from wmfock.words import projection_product
 
     for mu in indices_up_to(n, 4):
-        key = FunctionalKey.point(mu)
+        key = FunctionalKey("point", mu)
         for nu in indices_up_to(n, 4):
             survives = projection_product(mu, nu) is ProductResult.LEFT_SURVIVES
             assert functional_apply(key, nu) == (1 if survives else 0)
