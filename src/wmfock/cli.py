@@ -43,10 +43,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     "Cuntz-Krieger generators on a truncated Fock space.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, degree_default: int = 6) -> None:
+    def common(p: argparse.ArgumentParser, degree_default: Optional[int] = 6) -> None:
         p.add_argument("--n", type=int, default=2, help="number of generators (>= 2)")
-        p.add_argument("--max-degree", type=int, default=degree_default,
-                       help="maximal retained tensor degree (>= 1)")
+        if degree_default is not None:
+            p.add_argument("--max-degree", type=int, default=degree_default,
+                           help="maximal retained tensor degree (>= 1)")
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     common(p_verify)
@@ -61,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="fan independent suites out to processes")
 
     p_reduce = sub.add_parser("reduce", help="print the normal form of a word")
-    common(p_reduce)
+    common(p_reduce, degree_default=None)  # the rewriter needs no truncation
     p_reduce.add_argument("word", help="word in the grammar a<digits>[*], whitespace-separated")
 
     p_spec = sub.add_parser("spectrum", help="emit the spectrum dataset")
@@ -86,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _validate_common(args) -> Optional[str]:
     if args.n < 2:
         return "--n must be at least 2"
-    if args.max_degree < 1:
+    if getattr(args, "max_degree", 1) < 1:
         return "--max-degree must be at least 1"
     try:
         if getattr(args, "c", None) is not None:

@@ -41,10 +41,11 @@ ratio, rounded to two decimals half to even and memoised on the rank tuple
 its axis reads; the frame's corners are ranks into the table ``(0, 1)``.
 Each emitter grows its text in place by one join of a bounded batch of
 shared fragments at a time, so no row string, list of every fragment or
-second copy of the text is built.  An interior point of one index adds no string of its
-own: its row or dot is a few pieces memoised by value for the length of one
-emitter call, keyed by its first letter, its upper letters and slices of
-its own ranks.  Both outputs are byte-deterministic.
+second copy of the text is built.  An interior point of one index adds no
+string of its own: its row or dot is a few pieces memoised by value for
+one emitter call, keyed by its first letter, its upper letters and, for a
+dot, slices of its ranks; a row reads its fields from the table's texts.
+Both outputs are byte-deterministic.
 """
 
 from __future__ import annotations
@@ -223,7 +224,8 @@ def enumerate_spectrum(cfg: SpectrumConfig) -> SpectrumStream:
 
 
 class FunctionalKey(NamedTuple):
-    """A multiplicative functional by kind: "vacuum", "identity", or "point" at index ``mu``."""
+    """A listed functional: the vector state at ``e_0`` ("vacuum") or at
+    ``e_mu`` ("point" at index ``mu``), or the constant 1 ("identity")."""
 
     kind: str
     mu: Optional[MultiIndex] = None
@@ -234,22 +236,20 @@ class FunctionalKey(NamedTuple):
         return "phi_%s" % ("0" if self.kind == "vacuum" else "1")
 
 
-def functional_apply(key: FunctionalKey, nu: MultiIndex, vacuum_flag: bool = False) -> int:
-    """Value of the functional on P_nu (or P0_nu when ``vacuum_flag``).
+def functional_apply(key: FunctionalKey, nu: MultiIndex) -> int:
+    """Value of the functional on P_nu.
 
-    Point functionals give P_nu and P0_nu the same value, 1 exactly when
-    ``nu`` equals or precedes the key index.  The vacuum functional is 1
-    only on the vacuum projection itself; the identity functional is
-    constant 1.
+    A vector state at ``e_mu``, with ``mu = 0`` for the vacuum, is 1
+    exactly when ``nu`` equals or precedes ``mu``; the identity functional
+    is constant 1.
     """
     nu = tuple(nu)
     if key.kind == "identity":
         return 1
-    if key.kind == "vacuum":
-        return 1 if (vacuum_flag and not any(nu)) else 0
-    if len(key.mu) != len(nu):
-        raise ValueError("length mismatch: %d vs %d" % (len(key.mu), len(nu)))
-    return 1 if (nu == key.mu or precedes(nu, key.mu)) else 0
+    mu = (0,) * len(nu) if key.kind == "vacuum" else key.mu
+    if len(mu) != len(nu):
+        raise ValueError("length mismatch: %d vs %d" % (len(mu), len(nu)))
+    return 1 if (nu == mu or precedes(nu, mu)) else 0
 
 
 def verify_multiplicativity(cfg: SpectrumConfig, degree_cap: int
@@ -365,11 +365,10 @@ def emit_csv(points: Iterable[SpectrumPoint], cfg: SpectrumConfig) -> str:
     ``points`` is read once, so a stream such as :func:`enumerate_spectrum`
     is never held whole.  The text, closing newline included, grows in place
     in :func:`_joined`, so no row string or second copy of it is built.  An
-    interior point of one index ``(a;b;...)`` is six pieces:
-    ``"\\ninterior,(a"`` keyed by ``a``, ``";b;...)"`` by the upper letters,
-    the exact field of ``ranks[0]``, those of ``ranks[1:]`` keyed by that
-    slice, and the same two for the decimals; keyed pieces are memoised by
-    value for this call.  Other rows add their provenance string.
+    interior point of one index ``(a;b;...)`` is ``"\\ninterior,(a"`` keyed
+    by ``a`` and ``";b;...)"`` by the upper letters, memoised by value for
+    this call, then the exact and the decimal field of each rank, read from
+    the tables.  Other rows add their provenance string.
     A stream's interior may be rendered run by run: :meth:`SpectrumStream.split`.
     """
     header = ["kind", "provenance"]
@@ -378,17 +377,14 @@ def emit_csv(points: Iterable[SpectrumPoint], cfg: SpectrumConfig) -> str:
     values = coordinate_values(cfg)
     exact = ["," + frac_str(x) for x in values]
     dec = ["," + decimal15(x) for x in values]
-    exact_tails = _Memo(lambda upper: "".join(map(exact.__getitem__, upper)))
-    dec_tails = _Memo(lambda upper: "".join(map(dec.__getitem__, upper)))
     heads = _Memo("\ninterior,(%d".__mod__)
     uppers = _Memo(lambda upper: (";%d" * len(upper) + ")") % upper)
 
     def run_rows(run: Block) -> Iterator[str]:
-        (a, *rest), (r_1, *tails) = run_columns(run)
+        (a, *rest), ranks = run_columns(run)
         return chain.from_iterable(zip(
             map(heads.__getitem__, a), map(uppers.__getitem__, zip(*rest)),
-            map(exact.__getitem__, r_1), map(exact_tails.__getitem__, zip(*tails)),
-            map(dec.__getitem__, r_1), map(dec_tails.__getitem__, zip(*tails))))
+            *(map(table.__getitem__, r) for table in (exact, dec) for r in ranks)))
 
     def point_rows(points: List[SpectrumPoint]) -> List[str]:
         fragments: List[str] = []
@@ -396,12 +392,12 @@ def emit_csv(points: Iterable[SpectrumPoint], cfg: SpectrumConfig) -> str:
         for point in points:
             ranks, kind, provenance = point
             if kind == INTERIOR and len(provenance) == 1:
-                mu, upper = provenance[0], ranks[1:]
-                extend((heads[mu[0]], uppers[mu[1:]], exact[ranks[0]], exact_tails[upper],
-                        dec[ranks[0]], dec_tails[upper]))
+                mu = provenance[0]
+                extend((heads[mu[0]], uppers[mu[1:]]))
             else:
-                extend(("\n", kind, ",", point_provenance(point),
-                        *map(exact.__getitem__, ranks), *map(dec.__getitem__, ranks)))
+                extend(("\n", kind, ",", point_provenance(point)))
+            extend(map(exact.__getitem__, ranks))
+            extend(map(dec.__getitem__, ranks))
         return fragments
 
     return _joined(",".join(header), run_rows, point_rows, points, cfg, "\n")

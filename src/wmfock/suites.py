@@ -314,12 +314,14 @@ def monomial_diagonals(params: TruncationParams, indices: Sequence[MultiIndex]
     return fixed
 
 
-def masa_suite(n: int, max_degree: int = 6, degree_cap: int = 4,
-               rank_cap: int = 5, samples: int = 500) -> dict:
+def masa_suite(n: int, max_degree: int) -> dict:
+    """Rank-one projections up to degree ``min(5, max_degree - 1)``, every
+    monomial of degree ``<= min(4, max_degree)`` and 500 sampled words."""
     params = TruncationParams(n, max_degree)
     checks: List[dict] = []
+    degree_cap = min(4, max_degree)
 
-    rank_indices = [mu for mu in indices_up_to(n, min(rank_cap, max_degree - 1))]
+    rank_indices = indices_up_to(n, min(5, max_degree - 1))
     rank = Tally()
     for mu in rank_indices:
         value = evaluate(masa.rank_one_projection(mu, n), params)
@@ -350,7 +352,7 @@ def masa_suite(n: int, max_degree: int = 6, degree_cap: int = 4,
                     monomials.fail(lambda: {"nu": list(nu), "mu": list(mu), "vacuum": flag})
     checks.append(_check("expectation-of-monomials", 2 * len(indices) ** 2, monomials))
 
-    words = sample_words(n, samples, 8, RANDOM_SEED)
+    words = sample_words(n, 500, 8, RANDOM_SEED)
     random_words = Tally()
     for word in words:
         guard = creation_guard(word)
@@ -598,8 +600,7 @@ def run_suite(name: str, n: int, max_degree: int, c: Fraction,
     if name == "projections":
         return projections_suite(n, max_degree, degree_cap=min(4, max_degree))
     if name == "masa":
-        return masa_suite(n, max_degree, degree_cap=min(4, max_degree),
-                          rank_cap=min(5, max_degree - 1))
+        return masa_suite(n, max_degree)
     if name == "spectrum":
         return spectrum_suite(n, max_degree, c)
     if name == "gauge":

@@ -53,6 +53,7 @@ def test_usage_errors_exit_two():
     assert run_cli("verify", "--suite", "bogus").returncode == 2
     assert run_cli("reduce", "--n", "2", "a9").returncode == 2
     assert run_cli("reduce", "--n", "2", "z1").returncode == 2
+    assert run_cli("reduce", "--n", "2", "--max-degree", "3", "a1").returncode == 2  # no truncation
     assert run_cli("spectrum", "--c", "0.5").returncode == 2
     assert run_cli("spectrum", "--c", "3/2").returncode == 2
     assert run_cli("verify", "--c", "1/0").returncode == 2

@@ -10,15 +10,10 @@ none built before reaches it.  The test fails on a family with no fault
 and on a registered fault that its families do not report.  No family is
 a gap: each one fails under its fault at this size.
 
-Two weaknesses of the checks stay visible here; ROADMAP item 1 keeps both:
-
-* ``masa/expectation-positive-on-squares`` is caught only by a generator
-  that is not injective, where ``adjoint()`` raises: a word is an order-1
-  map, so no wrong value makes a diagonal entry of ``op* op`` negative;
-* the ``phi_0`` row of ``spectrum/functionals-multiplicative`` never fails:
-  the vacuum functional is read without its flag, so it is 0 on every
-  projection and every case reads 0 = 0 * 0.  The family is caught through
-  its point functionals.
+One weakness of the checks stays visible here, and ROADMAP item 1 keeps
+it: ``masa/expectation-positive-on-squares`` is caught only by a generator
+that is not injective, where ``adjoint()`` raises: a word is an order-1
+map, so no wrong value makes a diagonal entry of ``op* op`` negative.
 """
 
 import re

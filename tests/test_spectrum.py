@@ -19,9 +19,9 @@ from wmfock.spectrum import (BOUNDARY, INTERIOR, P_LIMIT, BoundaryPattern, Funct
                              emit_csv, emit_svg, enumerate_spectrum,
                              functional_apply, interior_points, point_provenance,
                              r_value, render_provenance, verify_multiplicativity)
-from wmfock.fock import TruncationParams, enumerate_basis, indices_up_to
+from wmfock.fock import TruncationParams, basis_index, enumerate_basis, indices_up_to
 from wmfock.sparse import frac_str
-from wmfock.words import ProductResult
+from wmfock.words import NormalMonomial, ProductResult, evaluate_word
 
 from test_fock import reference_indices
 from test_words import precedes_pivot_oracle, projection_product_oracle
@@ -191,8 +191,7 @@ def test_functional_values():
     assert functional_apply(FunctionalKey("point", (1, 1)), (1, 1)) == 1
     assert functional_apply(FunctionalKey("point", (1, 1)), (0, 2)) == 0
     assert functional_apply(FunctionalKey("vacuum"), (1, 0)) == 0
-    assert functional_apply(FunctionalKey("vacuum"), (0, 0), vacuum_flag=True) == 1
-    assert functional_apply(FunctionalKey("vacuum"), (0, 0), vacuum_flag=False) == 0
+    assert functional_apply(FunctionalKey("vacuum"), (0, 0)) == 1
     assert functional_apply(FunctionalKey("identity"), (4, 7)) == 1
     with pytest.raises(ValueError):
         functional_apply(FunctionalKey("point", (1, 1)), (1, 1, 1))
@@ -217,9 +216,8 @@ def test_multiplicativity_no_failures(n):
 def _functional_oracle(key, nu):
     if key.kind == "identity":
         return 1
-    if key.kind == "vacuum":
-        return 0
-    return 1 if (nu == key.mu or precedes_pivot_oracle(nu, key.mu) is not None) else 0
+    mu = (0,) * len(nu) if key.kind == "vacuum" else key.mu
+    return 1 if (nu == mu or precedes_pivot_oracle(nu, mu) is not None) else 0
 
 
 def _multiplicativity_oracle(cfg, degree_cap):
@@ -271,7 +269,7 @@ def test_multiplicativity_matches_oracle_loop(n, cap):
 
 
 def test_multiplicativity_keeps_one_failure_payload(monkeypatch):
-    # every product read as LEFT: 19,278 of the 352,800 cases at (4, 6) fail,
+    # every product read as LEFT: 19,347 of the 352,800 cases at (4, 6) fail,
     # and only the count and the first payload are kept
     monkeypatch.setattr(spectrum, "projection_product",
                         lambda nu, rho: ProductResult.LEFT_SURVIVES)
@@ -284,11 +282,52 @@ def test_multiplicativity_keeps_one_failure_payload(monkeypatch):
     finally:
         tracemalloc.stop()
     assert report["cases"] == 352800
-    assert report["failures"] == 19278
-    assert report["first_failure"] == {"functional": "phi(0;0;0;0)", "nu": [0, 0, 0, 0],
+    assert report["failures"] == 19347
+    assert report["first_failure"] == {"functional": "phi_0", "nu": [0, 0, 0, 0],
                                        "rho": [1, 0, 0, 0], "product": "left",
                                        "got": 1, "want": 0}
     assert peak - start < 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("n,cap", [(2, 4), (3, 3)])
+def test_listed_functionals_are_vector_states(n, cap, monkeypatch):
+    # every value the check reads equals the e_mu diagonal entry of the
+    # composed P_nu (e_0 for the vacuum key), and 1 for the identity key
+    seen = {}  # each (key, nu) the check reads, in the order it reads them
+
+    def recorded(key, nu):
+        seen[key, tuple(nu)] = True
+        return functional_apply(key, nu)
+
+    monkeypatch.setattr(spectrum, "functional_apply", recorded)
+    verify_multiplicativity(SpectrumConfig(n, 6, HALF), cap)
+    params = TruncationParams(n, 6)
+    position = basis_index(params)
+    fixed = {nu: evaluate_word(NormalMonomial.projection(nu).word(), params).diagonal()
+             for nu in indices_up_to(n, cap)}
+    assert {key.kind for key, _ in seen} == {"vacuum", "identity", "point"}
+    assert len(seen) == (len(fixed) + 2) * len(fixed)
+    for key, nu in seen:
+        if key.kind == "identity":
+            want = 1
+        else:
+            mu = key.mu if key.kind == "point" else (0,) * n
+            want = fixed[nu].get(position[mu], 0)
+        assert functional_apply(key, nu) == want, (key.render(), nu)
+
+
+def test_vacuum_functional_fails_on_a_vanishing_p0(monkeypatch):
+    # P_0 P_0 read as 0: the vacuum state, first of the keys, reads 1 on P_0
+    # and so fails, as does every point functional (P_0 is the identity)
+    product_ = spectrum.projection_product
+    zero = (0, 0, 0)
+    monkeypatch.setattr(spectrum, "projection_product", lambda nu, rho: (
+        ProductResult.ZERO if nu == rho == zero else product_(nu, rho)))
+    report = _multiplicativity_report(SpectrumConfig(3, 6, HALF), 4)
+    assert report["failures"] == 36
+    assert report["first_failure"] == {"functional": "phi_0", "nu": [0, 0, 0],
+                                       "rho": [0, 0, 0], "product": "zero",
+                                       "got": 0, "want": 1}
 
 
 def test_multiplicativity_rejects_high_cap():
@@ -716,9 +755,9 @@ def test_emission_holds_the_text_once(emit):
 def test_emission_peak_at_the_benchmark_size(emit, bound):
     # an interior point of one index adds no string of its own, and the text
     # grows in place by one batch at a time: at (3, 60, 3/7) the peak is
-    # 1.19-1.20 and 1.52-1.56 times the text run by run, and 1.17 and
-    # 1.54-1.61 point by point, on CPython 3.10-3.13, where one join over a
-    # list of every fragment gave 1.38-1.45 and 1.81-1.88
+    # 1.12 and 1.52-1.56 times the text run by run, and 1.10 and 1.54-1.61
+    # point by point (CSV on CPython 3.11, SVG on 3.10-3.13), where one join
+    # over a list of every fragment gave 1.38-1.45 and 1.81-1.88
     assert max(_emission_peaks(emit, SpectrumConfig(3, 60, Fraction(3, 7)))) < bound
 
 

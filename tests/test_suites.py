@@ -95,12 +95,12 @@ def test_incidence_matrix_realized_from_degree_two():
 
 
 def test_masa_suite_counts():
-    report = masa_suite(2, 6, degree_cap=3, rank_cap=4, samples=40)
+    report = masa_suite(2, 6)
     rank_check = next(c for c in report["checks"] if c["name"] == "rank-one-projections")
-    assert rank_check["cases"] == 15  # indices of degree <= 4 over two letters
+    assert rank_check["cases"] == 21  # indices of degree <= 5 over two letters
     words_check = next(c for c in report["checks"]
                        if c["name"] == "expectation-of-random-words")
-    assert words_check["cases"] == 40
+    assert words_check["cases"] == 500
     assert total_failures(report) == 0
 
 
@@ -181,7 +181,7 @@ def test_expectation_of_monomials_catches_matrix_side_faults(monkeypatch, fault)
             block = _compose_codes(codes, params)
             return edit(block, params) if tuple(codes) == (3,) else block  # a*_1
         monkeypatch.setattr(suites, "_compose_codes", faulty_blocks)
-    report = masa_suite(2, 4, degree_cap=2, rank_cap=3, samples=0)
+    report = masa_suite(2, 4)
     mono = next(c for c in report["checks"] if c["name"] == "expectation-of-monomials")
     assert mono["failures"] > 0
     assert set(mono["firstFailure"]) == {"nu", "mu", "vacuum"}
@@ -214,7 +214,7 @@ def test_positivity_reports_a_non_injective_generator(monkeypatch):
                                column_map(params, sym.index, sym.starred) for sym in word])
 
     monkeypatch.setattr(suites, "evaluate_word", merging_word)
-    report = masa_suite(2, 4, degree_cap=2, rank_cap=3, samples=20)
+    report = masa_suite(2, 4)
     positive = next(c for c in report["checks"]
                     if c["name"] == "expectation-positive-on-squares")
     assert positive["failures"] > 0
@@ -291,7 +291,7 @@ def test_rank_one_check_catches_an_off_diagonal_entry(monkeypatch):
                                column_map(params, sym.index, sym.starred) for sym in word])
 
     monkeypatch.setattr(suites, "evaluate_word", leaky_word)
-    report = masa_suite(2, 5, degree_cap=2, rank_cap=4, samples=0)
+    report = masa_suite(2, 5)
     rank = next(c for c in report["checks"] if c["name"] == "rank-one-projections")
     assert rank["failures"] > 0
     assert rank["firstFailure"] == {"mu": [0, 0]}
