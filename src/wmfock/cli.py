@@ -16,7 +16,7 @@ import re
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from . import gauge as gauge_mod
 from . import suites
@@ -61,8 +61,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--jobs", type=int, default=1,
                           help="fan independent suites out to processes")
 
+    def no_truncation(text: str) -> NoReturn:  # refuse a degree by name, not as a stray word
+        raise argparse.ArgumentTypeError("reduce takes none, as the rewriter needs no truncation")
+
     p_reduce = sub.add_parser("reduce", help="print the normal form of a word")
-    common(p_reduce, degree_default=None)  # the rewriter needs no truncation
+    common(p_reduce, degree_default=None)
+    p_reduce.add_argument("--max-degree", type=no_truncation, default=argparse.SUPPRESS,
+                          help=argparse.SUPPRESS)
     p_reduce.add_argument("word", help="word in the grammar a<digits>[*], whitespace-separated")
 
     p_spec = sub.add_parser("spectrum", help="emit the spectrum dataset")

@@ -65,15 +65,13 @@ def rank_one_projection(mu: MultiIndex, n: int) -> NormalForm:
     mu = tuple(mu)
     if len(mu) != n:
         raise ValueError("multi-index of length %d, expected %d" % (len(mu), n))
-    if any(x < 0 for x in mu):
-        raise ValueError("multi-index entries must be nonnegative")
     if not any(mu):
-        return NormalForm({NormalMonomial.vacuum_projection(n): 1})
+        return NormalForm({NormalMonomial(mu, True, mu): 1})
     pivot = bottom_letter(mu)
-    terms: Dict[NormalMonomial, int] = {NormalMonomial.projection(mu): 1}
+    terms: Dict[NormalMonomial, int] = {NormalMonomial(mu, False, mu): 1}
     for h in range(1, pivot + 1):
         bumped = mu[: h - 1] + (mu[h - 1] + 1,) + mu[h:]
-        terms[NormalMonomial.projection(bumped)] = -1
+        terms[NormalMonomial(bumped, False, bumped)] = -1
     return NormalForm(terms)
 
 

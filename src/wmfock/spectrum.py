@@ -58,8 +58,8 @@ from itertools import chain, islice, product
 from math import lcm
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .fock import (Block, MultiIndex, Tally, indices_up_to, iter_ranked_blocks, iter_ranked_indices,
-                   run_columns)
+from .fock import (Block, MultiIndex, Tally, TruncationParams, indices_up_to, iter_ranked_blocks,
+                   iter_ranked_indices, run_columns)
 from .sparse import frac_str
 from .words import ProductResult, precedes, projection_product
 
@@ -73,10 +73,7 @@ class SpectrumConfig(namedtuple("SpectrumConfig", "n max_degree c")):
     __slots__ = ()
 
     def __new__(cls, n: int, max_degree: int, c: Fraction) -> "SpectrumConfig":
-        if n < 2:
-            raise ValueError("need n >= 2")
-        if max_degree < 1:
-            raise ValueError("max_degree must be >= 1")
+        TruncationParams(n, max_degree)  # the one check of n and max_degree
         if isinstance(c, float):
             raise TypeError("c must be exact (a Fraction, an int or a 'p/q' string), "
                             "not the float %r" % c)
@@ -246,9 +243,7 @@ def functional_apply(key: FunctionalKey, nu: MultiIndex) -> int:
     nu = tuple(nu)
     if key.kind == "identity":
         return 1
-    mu = (0,) * len(nu) if key.kind == "vacuum" else key.mu
-    if len(mu) != len(nu):
-        raise ValueError("length mismatch: %d vs %d" % (len(mu), len(nu)))
+    mu = (0,) * len(nu) if key.kind == "vacuum" else key.mu  # precedes checks the lengths
     return 1 if (nu == mu or precedes(nu, mu)) else 0
 
 

@@ -222,7 +222,7 @@ def projections_suite(n: int, max_degree: int = 6, degree_cap: int = 4) -> dict:
     # composed map is kept only as its mask and its verdict on P_mu P_mu = P_mu
     masks, idempotent = {}, {}
     for mu in indices:
-        matrix = evaluate_word(NormalMonomial.projection(mu).word(), params)
+        matrix = evaluate_word(NormalMonomial(mu, False, mu).word(), params)
         masks[mu] = _fixed_mask(matrix)
         idempotent[mu] = masks[mu] is not None and matrix @ matrix == matrix
     product_rule, pivots_used = Tally(), set()
@@ -326,7 +326,7 @@ def masa_suite(n: int, max_degree: int) -> dict:
     for mu in rank_indices:
         value = evaluate(masa.rank_one_projection(mu, n), params)
         want = masa.matrix_rank_one(mu, params)
-        point = evaluate_word(NormalMonomial.point_projection(mu).word(), params)
+        point = evaluate_word(NormalMonomial(mu, True, mu).word(), params)
         # the order-1 map is the matrix unit: its one live column is the fixed one
         point_ok = (point.diagonal() == want.diagonal()
                     and point.image.count(-1) == params.basis_size - 1)

@@ -144,7 +144,11 @@ def creation_guard(word: Iterable[GeneratorSymbol]) -> int:
 
 
 class NormalMonomial(namedtuple("NormalMonomial", "creation vacuum annihilation")):
-    """A monomial a*(creation) [P0] a(annihilation) in count-vector form."""
+    """A monomial a*(creation) [P0] a(annihilation) in count-vector form.
+
+    With ``0`` the zero count vector, the identity is ``(0, False, 0)``, the
+    vacuum projection ``(0, True, 0)``, ``P_mu`` is ``(mu, False, mu)`` and
+    the rank-one ``P0_mu`` is ``(mu, True, mu)``."""
 
     __slots__ = ()
 
@@ -159,28 +163,6 @@ class NormalMonomial(namedtuple("NormalMonomial", "creation vacuum annihilation"
     @property
     def n(self) -> int:
         return len(self.creation)
-
-    @classmethod
-    def identity(cls, n: int) -> "NormalMonomial":
-        zero = (0,) * n
-        return cls(zero, False, zero)
-
-    @classmethod
-    def vacuum_projection(cls, n: int) -> "NormalMonomial":
-        zero = (0,) * n
-        return cls(zero, True, zero)
-
-    @classmethod
-    def projection(cls, mu: MultiIndex) -> "NormalMonomial":
-        """P_mu = a*(mu) a(mu)."""
-        mu = tuple(mu)
-        return cls(mu, False, mu)
-
-    @classmethod
-    def point_projection(cls, mu: MultiIndex) -> "NormalMonomial":
-        """P0_mu = a*(mu) P0 a(mu), the rank-one projection onto the state mu."""
-        mu = tuple(mu)
-        return cls(mu, True, mu)
 
     @property
     def is_diagonal(self) -> bool:
@@ -372,7 +354,7 @@ def rewrite(word: Iterable[GeneratorSymbol], n: int) -> NormalForm:
     """
     word = tuple(word)
     _validate_indices(word, n)
-    terms: Dict[NormalMonomial, int] = {NormalMonomial.identity(n): 1}
+    terms: Dict[NormalMonomial, int] = {NormalMonomial((0,) * n, False, (0,) * n): 1}
     for sym in reversed(word):
         code = _code(sym)
         acc: Dict[NormalMonomial, int] = {}

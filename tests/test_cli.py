@@ -53,7 +53,10 @@ def test_usage_errors_exit_two():
     assert run_cli("verify", "--suite", "bogus").returncode == 2
     assert run_cli("reduce", "--n", "2", "a9").returncode == 2
     assert run_cli("reduce", "--n", "2", "z1").returncode == 2
-    assert run_cli("reduce", "--n", "2", "--max-degree", "3", "a1").returncode == 2  # no truncation
+    no_degree = run_cli("reduce", "--n", "2", "--max-degree", "3", "a1 a1*")
+    assert no_degree.returncode == 2
+    assert no_degree.stderr.endswith("wmfock reduce: error: argument --max-degree: "
+                                     "reduce takes none, as the rewriter needs no truncation\n")
     assert run_cli("spectrum", "--c", "0.5").returncode == 2
     assert run_cli("spectrum", "--c", "3/2").returncode == 2
     assert run_cli("verify", "--c", "1/0").returncode == 2

@@ -145,10 +145,11 @@ FAULTS = {
         lambda op: SparseOp(op.dim, {k: v for k, v in e(op).entries.items() if k != (0, 0)}))),
     "symbolic-expectation-is-identity": lambda mp: _replace(
         mp, "expectation_of_monomial",
-        lambda e: lambda monomial: NormalForm({NormalMonomial.identity(monomial.n): 1})),
+        lambda e: lambda monomial: NormalForm(
+            {NormalMonomial((0,) * monomial.n, False, (0,) * monomial.n): 1})),
     "rank-one-is-the-projection": lambda mp: _replace(
         mp, "rank_one_projection",
-        lambda r: lambda mu, n: NormalForm({NormalMonomial.projection(mu): 1})),
+        lambda r: lambda mu, n: NormalForm({NormalMonomial(mu, False, mu): 1})),
     "rewrite-negated": lambda mp: _replace(mp, "rewrite", lambda rewrite: (
         lambda word, n: NormalForm({m: -c for m, c in rewrite(word, n).items()}))),
     # the product rule and the order (tests/test_projections.py, tests/test_spectrum.py)

@@ -37,9 +37,9 @@ def test_expectation_of_mixed_word_vanishes():
 
 
 def test_expectation_of_monomial_rule():
-    diag = NormalMonomial.projection((1, 1))
+    diag = NormalMonomial((1, 1), False, (1, 1))
     assert expectation_of_monomial(diag) == NormalForm({diag: 1})
-    flagged = NormalMonomial.point_projection((0, 0))
+    flagged = NormalMonomial((0, 0), True, (0, 0))
     assert expectation_of_monomial(flagged) == NormalForm({flagged: 1})
     off = NormalMonomial((1, 0), False, (0, 1))
     assert not expectation_of_monomial(off)
@@ -75,7 +75,7 @@ def test_symbolic_expectation_matches_matrix_on_words():
 
 def test_rank_one_vacuum_case():
     nf = rank_one_projection((0, 0), 2)
-    assert nf == NormalForm({NormalMonomial.vacuum_projection(2): 1})
+    assert nf == NormalForm({NormalMonomial((0, 0), True, (0, 0)): 1})
     params = TruncationParams(2, 4)
     assert evaluate(nf, params) == matrix_rank_one((0, 0), params)
 
@@ -83,8 +83,8 @@ def test_rank_one_vacuum_case():
 def test_rank_one_subtracts_only_slots_up_to_the_lowest_letter():
     nf = rank_one_projection((1, 1), 2)
     # deepening the second slot leaves the range of P_(1,1): not subtracted
-    assert nf == NormalForm({NormalMonomial.projection((1, 1)): 1,
-                             NormalMonomial.projection((2, 1)): -1})
+    assert nf == NormalForm({NormalMonomial((1, 1), False, (1, 1)): 1,
+                             NormalMonomial((2, 1), False, (2, 1)): -1})
     nf3 = rank_one_projection((0, 0, 2), 3)
     assert len(nf3) == 4  # lowest letter 3: slots 1, 2, 3 all subtracted
 
@@ -104,9 +104,9 @@ def test_all_slots_subtraction_is_not_a_projection():
     # over-corrects: the result has a -1 eigenvalue and is not idempotent
     params = TruncationParams(2, 6)
     combo = NormalForm({
-        NormalMonomial.projection((1, 1)): Fraction(1),
-        NormalMonomial.projection((2, 1)): Fraction(-1),
-        NormalMonomial.projection((1, 2)): Fraction(-1),
+        NormalMonomial((1, 1), False, (1, 1)): Fraction(1),
+        NormalMonomial((2, 1), False, (2, 1)): Fraction(-1),
+        NormalMonomial((1, 2), False, (1, 2)): Fraction(-1),
     })
     op = evaluate(combo, params)
     pos = basis_index(params)[(1, 2)]

@@ -31,7 +31,7 @@ def _dense_classes(n, max_degree, degree_cap):
     product is neither zero nor one of its factors."""
     params = TruncationParams(n, max_degree)
     indices = indices_up_to(n, degree_cap)
-    matrices = {mu: evaluate_word(NormalMonomial.projection(mu).word(), params)
+    matrices = {mu: evaluate_word(NormalMonomial(mu, False, mu).word(), params)
                 for mu in indices}
     classes = {}
     for mu in indices:

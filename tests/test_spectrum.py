@@ -303,7 +303,7 @@ def test_listed_functionals_are_vector_states(n, cap, monkeypatch):
     verify_multiplicativity(SpectrumConfig(n, 6, HALF), cap)
     params = TruncationParams(n, 6)
     position = basis_index(params)
-    fixed = {nu: evaluate_word(NormalMonomial.projection(nu).word(), params).diagonal()
+    fixed = {nu: evaluate_word(NormalMonomial(nu, False, nu).word(), params).diagonal()
              for nu in indices_up_to(n, cap)}
     assert {key.kind for key, _ in seen} == {"vacuum", "identity", "point"}
     assert len(seen) == (len(fixed) + 2) * len(fixed)

@@ -192,7 +192,8 @@ def test_expectation_of_monomials_keeps_one_failure_payload(monkeypatch):
     # identity monomial fail, and only the count and the first payload are
     # kept (1.2 MB here when the suite kept a payload per failure)
     monkeypatch.setattr(suites.masa, "expectation_of_monomial",
-                        lambda monomial: NormalForm({NormalMonomial.identity(monomial.n): 1}))
+                        lambda monomial: NormalForm(
+                            {NormalMonomial((0,) * monomial.n, False, (0,) * monomial.n): 1}))
     tracemalloc.start()
     try:
         report = masa_suite(3, 6)

@@ -1,7 +1,8 @@
 """The package's value types: read-only, compared and hashed as the tuple of
 their fields, validated on construction and again when unpickled; the
-normal form, a dict of its nonzero terms; and the CLI's import, which
-loads neither ``dataclasses`` nor ``inspect``."""
+normal form, a dict of its nonzero terms; and what an import loads: the
+package root no layer, the CLI every layer but neither ``dataclasses`` nor
+``inspect``."""
 
 import os
 import pickle
@@ -87,7 +88,7 @@ def test_pickle_round_trip(cls, fields, values, text):
     (lambda: NormalMonomial((1,), False, (1, 0)), ValueError, "equal length"),
     (lambda: NormalMonomial((1, -1), False, (0, 0)), ValueError, "nonnegative"),
     (lambda: NormalMonomial((0, 0), True, (0, -2)), ValueError, "nonnegative"),
-    (lambda: SpectrumConfig(1, 3, Fraction(1, 2)), ValueError, "n >= 2"),
+    (lambda: SpectrumConfig(1, 3, Fraction(1, 2)), ValueError, "two generators, got n=1"),
     (lambda: SpectrumConfig(2, 0, Fraction(1, 2)), ValueError, "max_degree must be >= 1"),
     (lambda: SpectrumConfig(2, 3, 0.5), TypeError, "must be exact"),
     (lambda: SpectrumConfig(2, 3, 1), ValueError, "strictly between 0 and 1"),
@@ -112,8 +113,8 @@ def test_unpickling_validates_again(forged):
         pickle.loads(data)
 
 
-IDENTITY = NormalMonomial.identity(2)
-VACUUM = NormalMonomial.vacuum_projection(2)
+IDENTITY = NormalMonomial((0, 0), False, (0, 0))
+VACUUM = NormalMonomial((0, 0), True, (0, 0))
 
 
 def test_normal_form_is_the_dict_of_its_nonzero_terms():
@@ -163,11 +164,27 @@ def test_bundle_pickles_without_its_positions():
     assert pickle.loads(data).positions is bundle.positions
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    script = ("import sys, wmfock.cli; "
-              "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+def _fresh_import(statement, listed):
+    """The modules of ``listed`` that ``statement`` leaves loaded in a fresh interpreter."""
+    script = ("import sys; %s; print(' '.join(sorted(m for m in sys.modules if m in %r)))"
+              % (statement, listed))
     env = dict(os.environ, PYTHONPATH=SRC)
     result = subprocess.run([sys.executable, "-S", "-c", script], env=env,
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "\n"
+    return result.stdout.split()
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    assert _fresh_import("import wmfock.cli", ("dataclasses", "inspect")) == []
+
+
+LAYERS = tuple("wmfock." + name for name in
+               ("cli", "fock", "gauge", "masa", "sparse", "spectrum", "suites", "words"))
+
+
+def test_package_root_loads_no_layer_and_the_cli_loads_all():
+    # perfbench/child.py imports wmfock.cli and then wraps every layer it
+    # finds loaded, so the CLI's import must bring in all eight
+    assert _fresh_import("import wmfock", LAYERS) == []
+    assert _fresh_import("import wmfock.cli", LAYERS) == sorted(LAYERS)

@@ -87,8 +87,8 @@ def test_rewrite_mixed_pair_is_zero():
 def test_rewrite_support_decomposition():
     nf = rewrite(parse_word("a1 a1*", 2), 2)
     expected = NormalForm({
-        NormalMonomial.vacuum_projection(2): Fraction(1),
-        NormalMonomial.projection((1, 0)): Fraction(1),
+        NormalMonomial((0, 0), True, (0, 0)): Fraction(1),
+        NormalMonomial((1, 0), False, (1, 0)): Fraction(1),
     })
     assert nf == expected
     assert nf.render() == "1/1 · P0 + 1/1 · a*(1,0) a(1,0)"
@@ -96,7 +96,7 @@ def test_rewrite_support_decomposition():
 
 def test_rewrite_top_support_is_identity():
     nf = rewrite(parse_word("a2 a2*", 2), 2)
-    assert nf == NormalForm({NormalMonomial.identity(2): 1})
+    assert nf == NormalForm({NormalMonomial((0, 0), False, (0, 0)): 1})
     assert nf.render() == "1/1 · I"
 
 
@@ -107,22 +107,22 @@ def test_rewrite_projection_square_is_idempotent():
     word = parse_word("a2* a1* a1 a2 a2* a1* a1 a2", 2)
     nf = rewrite(word, 2)
     assert nf == NormalForm({
-        NormalMonomial.point_projection((1, 1)): Fraction(1),
-        NormalMonomial.projection((2, 1)): Fraction(1),
+        NormalMonomial((1, 1), True, (1, 1)): Fraction(1),
+        NormalMonomial((2, 1), False, (2, 1)): Fraction(1),
     })
     params = TruncationParams(2, 6)
-    single = evaluate(NormalForm({NormalMonomial.projection((1, 1)): 1}), params)
+    single = evaluate(NormalForm({NormalMonomial((1, 1), False, (1, 1)): 1}), params)
     assert evaluate(nf, params) == single
     assert single @ single == single
 
 
 def test_rewrite_empty_word_is_identity():
-    assert rewrite((), 2) == NormalForm({NormalMonomial.identity(2): 1})
+    assert rewrite((), 2) == NormalForm({NormalMonomial((0, 0), False, (0, 0)): 1})
 
 
 def test_rewrite_vacuum_rules():
     n = 2
-    assert rewrite(parse_word("a0 a0", n), n) == NormalForm({NormalMonomial.vacuum_projection(n): 1})
+    assert rewrite(parse_word("a0 a0", n), n) == NormalForm({NormalMonomial((0, 0), True, (0, 0)): 1})
     assert not rewrite(parse_word("a1 a0", n), n)
     assert not rewrite(parse_word("a0 a1*", n), n)
     # a0 a1 and a1* a0 are already normal
@@ -170,11 +170,11 @@ def test_rewriting_terminates_on_long_words(symbols):
 
 
 def test_normal_form_algebra():
-    one = NormalForm({NormalMonomial.identity(2): 1})
-    vac = NormalForm({NormalMonomial.vacuum_projection(2): Fraction(1, 2)})
+    one = NormalForm({NormalMonomial((0, 0), False, (0, 0)): 1})
+    vac = NormalForm({NormalMonomial((0, 0), True, (0, 0)): Fraction(1, 2)})
     total = one + vac
-    assert dict(total.items())[NormalMonomial.identity(2)] == 1
-    assert total + NormalForm({NormalMonomial.identity(2): -1}) == vac
+    assert dict(total.items())[NormalMonomial((0, 0), False, (0, 0))] == 1
+    assert total + NormalForm({NormalMonomial((0, 0), False, (0, 0)): -1}) == vac
     assert not NormalForm({m: 0 * c for m, c in total.items()})
     assert vac.diagonal_part() == vac
     off = NormalForm({NormalMonomial((1, 0), False, (0, 1)): 1})
@@ -318,12 +318,12 @@ def test_precedes_antisymmetric_exhaustive(n, cap):
 def test_projection_product_matches_matrices_spot():
     params = TruncationParams(3, 8)
     mu, nu = (2, 3, 2), (0, 1, 2)
-    pm = evaluate_word(NormalMonomial.projection(mu).word(), params)
-    pn = evaluate_word(NormalMonomial.projection(nu).word(), params)
+    pm = evaluate_word(NormalMonomial(mu, False, mu).word(), params)
+    pn = evaluate_word(NormalMonomial(nu, False, nu).word(), params)
     assert pm @ pn == pm
     params2 = TruncationParams(2, 6)
-    pm = evaluate_word(NormalMonomial.projection((0, 2)).word(), params2)
-    pn = evaluate_word(NormalMonomial.projection((1, 1)).word(), params2)
+    pm = evaluate_word(NormalMonomial((0, 2), False, (0, 2)).word(), params2)
+    pn = evaluate_word(NormalMonomial((1, 1), False, (1, 1)).word(), params2)
     assert (pm @ pn).is_zero()
 
 
@@ -334,9 +334,9 @@ def test_projection_product_matches_matrices_spot():
 
 def test_evaluate_identity_and_vacuum():
     params = TruncationParams(2, 4)
-    assert evaluate(NormalForm({NormalMonomial.identity(2): 1}), params) == \
+    assert evaluate(NormalForm({NormalMonomial((0, 0), False, (0, 0)): 1}), params) == \
         SparseOp.identity(params.basis_size)
-    vac = evaluate(NormalForm({NormalMonomial.vacuum_projection(2): 1}), params)
+    vac = evaluate(NormalForm({NormalMonomial((0, 0), True, (0, 0)): 1}), params)
     assert vac.entries == {(0, 0): Fraction(1)}
 
 
@@ -351,14 +351,14 @@ def test_evaluate_rewritten_word_matches_direct_product():
 def test_point_projection_monomial_is_matrix_unit():
     params = TruncationParams(2, 5)
     idx = basis_index(params)[(2, 1)]
-    op = evaluate(NormalForm({NormalMonomial.point_projection((2, 1)): 1}), params)
+    op = evaluate(NormalForm({NormalMonomial((2, 1), True, (2, 1)): 1}), params)
     assert op.entries == {(idx, idx): Fraction(1)}
 
 
 def test_evaluate_dimension_mismatch():
     params = TruncationParams(2, 3)
     with pytest.raises(ValueError):
-        evaluate(NormalForm({NormalMonomial.identity(3): 1}), params)
+        evaluate(NormalForm({NormalMonomial((0, 0, 0), False, (0, 0, 0)): 1}), params)
 
 
 # ---------------------------------------------------------------------------
